@@ -1,7 +1,6 @@
 // apps/bdrmapit_serve.cpp — query engine over a bdrmapIT snapshot.
 //
-//   bdrmapit_serve --snapshot FILE [--quiet] [--threads N]
-//                  [--audit | --no-audit] [--no-reload]
+//   bdrmapit_serve --snapshot FILE [--quiet] [--threads N] [--no-reload]
 //                  [--listen ADDR:PORT] [--max-conns N]
 //                  [--idle-timeout SECONDS]
 //                  [--bulk | --no-bulk] [--rate-limit N [--rate-burst N]]
@@ -22,7 +21,8 @@
 // proves it is one the pipeline could have written. Violations are
 // fatal: one   audit violation [serve-load] <check>: <detail>   line
 // per finding on stderr, exit 2, and no query is ever answered from
-// the bad image. `--no-audit` skips the gate (trusted images).
+// the bad image. The gate always runs: lookups binary-search the
+// image's sorted arrays, so they rely on the invariants it checks.
 //
 // The serving store can be swapped live — *hot reload* — without
 // dropping a connection or a query: `RELOAD <path>` (admin verb, both
@@ -83,8 +83,8 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --snapshot FILE [--quiet] [--threads N] "
-               "[--audit|--no-audit]\n"
-               "       [--no-reload] [--listen ADDR:PORT] [--max-conns N] "
+               "[--no-reload]\n"
+               "       [--listen ADDR:PORT] [--max-conns N] "
                "[--idle-timeout SECONDS]\n"
                "       [--bulk|--no-bulk] [--rate-limit N] "
                "[--rate-burst N]\n"
@@ -147,10 +147,10 @@ void on_terminate_signal(int) {
 //     write(2).
 class ReloadDriver {
  public:
-  ReloadDriver(serve::StoreHandle& handle, serve::StoreOptions opt,
+  ReloadDriver(serve::StoreHandle& handle, int threads,
                std::string initial_path, bool quiet)
       : handle_(handle),
-        opt_(opt),
+        threads_(threads),
         quiet_(quiet),
         current_path_(std::move(initial_path)) {}
 
@@ -308,7 +308,7 @@ class ReloadDriver {
                      err.c_str());
         return fail("load-error");
       }
-      next = serve::AnnotationStore::open(std::move(snap), opt_, &issues);
+      next = serve::AnnotationStore::open(std::move(snap), threads_, &issues);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "reload failed %s: %s\n", path.c_str(), e.what());
       return fail("load-error");
@@ -366,7 +366,7 @@ class ReloadDriver {
   }
 
   serve::StoreHandle& handle_;
-  const serve::StoreOptions opt_;  ///< reloads re-run the startup gate
+  const int threads_;  ///< audit shards; reloads re-run the startup gate
   const bool quiet_;
   int wake_fd_ = -1;
   std::thread thread_;
@@ -524,7 +524,7 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool reload_enabled = true;
   ListenOptions listen_opt;
-  serve::StoreOptions store_opt;
+  int threads = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--snapshot" && i + 1 < argc) {
@@ -532,11 +532,7 @@ int main(int argc, char** argv) {
     } else if (a == "--quiet") {
       quiet = true;
     } else if (a == "--threads" && i + 1 < argc) {
-      store_opt.threads = std::atoi(argv[++i]);
-    } else if (a == "--audit") {
-      store_opt.audit = true;
-    } else if (a == "--no-audit") {
-      store_opt.audit = false;
+      threads = std::atoi(argv[++i]);
     } else if (a == "--no-reload") {
       reload_enabled = false;
     } else if (a == "--listen" && i + 1 < argc) {
@@ -623,14 +619,14 @@ int main(int argc, char** argv) {
   }
   std::vector<serve::SnapshotIssue> issues;
   auto store_ptr =
-      serve::AnnotationStore::open(std::move(snap), store_opt, &issues);
+      serve::AnnotationStore::open(std::move(snap), threads, &issues);
   if (!store_ptr) {
     for (const auto& issue : issues)
       std::fprintf(stderr, "audit violation [serve-load] %s: %s\n",
                    issue.check.c_str(), issue.detail.c_str());
     std::fprintf(stderr,
-                 "error: %s: snapshot violates %zu invariant(s); refusing to "
-                 "serve (use --no-audit to override)\n",
+                 "error: %s: snapshot violates %zu invariant(s); refusing "
+                 "to serve\n",
                  snapshot_path.c_str(), issues.size());
     return 2;
   }
@@ -650,7 +646,7 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<ReloadDriver> reload;
   if (reload_enabled) {
-    reload = std::make_unique<ReloadDriver>(handle, store_opt, snapshot_path,
+    reload = std::make_unique<ReloadDriver>(handle, threads, snapshot_path,
                                             quiet);
     std::string rerr;
     if (!reload->start(&rerr)) {
@@ -667,7 +663,7 @@ int main(int argc, char** argv) {
 
   int rc;
   if (listen_addr) {
-    listen_opt.threads = store_opt.threads;
+    listen_opt.threads = threads;
     rc = run_listen(handle, reload.get(), *listen_addr, listen_opt, quiet);
   } else {
     rc = run_stdin(handle, reload.get());

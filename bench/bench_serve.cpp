@@ -5,7 +5,7 @@
 //
 //   * snapshot size and write / load+index time,
 //   * single-interface (IFACE) queries per second, exact and batched,
-//   * PREFIX subtree queries per second,
+//   * PREFIX range queries per second,
 //   * LINKS lookups per second.
 //
 // Acceptance floor for the serving layer: >= 100k single-interface
@@ -96,12 +96,14 @@ int main() {
   // Batched lookups, 256 per call.
   constexpr std::size_t kBatch = 256;
   std::vector<netbase::IPAddr> batch(kBatch);
+  std::vector<const serve::SnapshotIface*> recs(kBatch);
   std::size_t batched = 0, batch_hits = 0;
   t0 = Clock::now();
   while (batched < kQueries) {
     for (std::size_t i = 0; i < kBatch; ++i)
       batch[i] = addrs[(batched + i) % addrs.size()];
-    for (const auto* rec : store.find_batch(batch))
+    store.find_batch(batch.data(), kBatch, recs.data());
+    for (const auto* rec : recs)
       if (rec) ++batch_hits;
     batched += kBatch;
   }

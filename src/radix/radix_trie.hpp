@@ -135,22 +135,6 @@ class RadixTrie {
     visit_node(v6_root_.get(), fn);
   }
 
-  /// Invokes `fn(prefix, value)` for every stored entry covered by `p`
-  /// (pre-order within the subtree). Descends only the branch containing
-  /// `p`, so the walk is proportional to the covering path plus the
-  /// matching subtree — not the whole trie.
-  template <typename Fn>
-  void visit_under(const netbase::Prefix& p, Fn&& fn) const {
-    const Node* n = root_for(p.family());
-    // Descend to the first node at or below p.
-    while (n && n->prefix.length() < p.length()) {
-      if (!p.addr().matches(n->prefix.addr(), n->prefix.length())) return;
-      n = n->child[p.addr().bit(n->prefix.length())].get();
-    }
-    if (!n || !p.contains(n->prefix)) return;
-    visit_node(n, fn);
-  }
-
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
 

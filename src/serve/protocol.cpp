@@ -136,7 +136,7 @@ Protocol::Action Protocol::handle_line(std::string_view line,
       return Action::kContinue;
     }
     const auto recs = store.find_under(*p);
-    for (const auto* rec : recs) append_iface(out, *rec);
+    for (const auto& rec : recs) append_iface(out, rec);
     append_end(out, recs.size());
   } else if (cmd == "LINKS") {
     const std::string_view tok = next_token(rest);
@@ -149,7 +149,7 @@ Protocol::Action Protocol::handle_line(std::string_view line,
       append_err(out, "bad-asn", tok);
       return Action::kContinue;
     }
-    const auto& links = store.links_of(*asn);
+    const auto links = store.links_of(*asn);
     for (const auto& [a, b] : links) {
       render::append_u64(out, a);
       out += '\t';
@@ -173,15 +173,10 @@ Protocol::Action Protocol::handle_line(std::string_view line,
       append_err(out, "not-found", tok);
       return Action::kContinue;
     }
-    // Aliases of one router are contiguous nowhere, so scan; router
-    // fan-out is tiny compared to the table.
-    std::size_t count = 0;
-    for (const auto& other : store.snapshot().interfaces) {
-      if (other.router_id != rec->router_id) continue;
-      append_iface(out, other);
-      ++count;
-    }
-    append_end(out, count);
+    const auto& table = store.snapshot().interfaces;
+    const auto members = store.router_members(rec->router_id);
+    for (const std::uint32_t pos : members) append_iface(out, table[pos]);
+    append_end(out, members.size());
   } else if (cmd == "COUNT") {
     const std::string_view tok = next_token(rest);
     if (tok.empty()) {

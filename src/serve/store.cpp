@@ -11,95 +11,89 @@
 namespace serve {
 
 namespace {
-const std::vector<std::pair<netbase::Asn, netbase::Asn>> kNoLinks;
 
-// The load/audit gate's process-wide tallies: open() may run on any
-// thread (each serving process loads one snapshot, tests load many),
-// so the counters sit behind an annotated mutex.
-core::Mutex g_gate_mu;
-LoadGateStats g_gate_stats BDRMAPIT_GUARDED_BY(g_gate_mu);
-
-netbase::Prefix host_prefix(const netbase::IPAddr& a) noexcept {
-  return netbase::Prefix(a, a.bits());
+/// The row for `asn` in an ASN-sorted table, or nullptr if it has none.
+template <class Row>
+const Row* row_in(const std::vector<Row>& rows, netbase::Asn asn) noexcept {
+  const auto it = std::ranges::lower_bound(rows, asn, {}, &Row::asn);
+  return it != rows.end() && it->asn == asn ? &*it : nullptr;
 }
+
 }  // namespace
 
 AnnotationStore::AnnotationStore(Snapshot snap) : snap_(std::move(snap)) {
-  for (std::uint32_t i = 0; i < snap_.interfaces.size(); ++i) {
-    const SnapshotIface& rec = snap_.interfaces[i];
-    trie_.insert(host_prefix(rec.addr), i);
-    ++iface_count_by_as_[rec.inf.router_as];
+  const std::vector<SnapshotIface>& table = snap_.interfaces;
+
+  // Router index: sorting (router_id, position) keys makes each
+  // router's positions one ascending run; only the position is kept.
+  std::vector<std::uint64_t> keys(table.size());
+  for (std::size_t i = 0; i < table.size(); ++i)
+    keys[i] = std::uint64_t{table[i].router_id} << 32 | i;
+  std::sort(keys.begin(), keys.end());
+  by_router_.resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    by_router_[i] = static_cast<std::uint32_t>(keys[i]);
+
+  // AS table: sorting (asn, tag) keys groups each AS's interfaces
+  // (tag 0) ahead of its links (tag 1 + the link's index, so in
+  // as_links order); one pass then lays out the rows and, CSR-style,
+  // each row's run of links_.
+  const auto& links = snap_.as_links;
+  std::vector<std::uint64_t> ends;
+  ends.reserve(table.size() + 2 * links.size());
+  for (const SnapshotIface& rec : table) {
+    ends.push_back(std::uint64_t{rec.inf.router_as} << 32);
     if (rec.inf.interdomain()) ++stats_.border_interfaces;
   }
-  for (const auto& link : snap_.as_links) {
-    links_by_as_[link.first].push_back(link);
-    links_by_as_[link.second].push_back(link);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const std::uint64_t tag = static_cast<std::uint32_t>(i + 1);
+    ends.push_back(std::uint64_t{links[i].first} << 32 | tag);
+    ends.push_back(std::uint64_t{links[i].second} << 32 | tag);
   }
-  // snap_.as_links is sorted, so each per-AS list built by a forward
-  // scan is sorted too; nothing to re-sort here.
+  std::sort(ends.begin(), ends.end());
+  links_.reserve(2 * links.size());
+  for (const std::uint64_t end : ends) {
+    const auto asn = static_cast<netbase::Asn>(end >> 32);
+    if (as_rows_.empty() || as_rows_.back().asn != asn)
+      as_rows_.push_back({asn, 0, links_.size(), links_.size()});
+    AsRow& row = as_rows_.back();
+    if (const auto tag = static_cast<std::uint32_t>(end); tag == 0) {
+      ++row.ifaces;
+    } else {
+      links_.push_back(links[tag - 1]);
+      row.links_end = links_.size();
+    }
+  }
 
-  stats_.interfaces = snap_.interfaces.size();
+  stats_.interfaces = table.size();
   stats_.routers = snap_.router_count;
   stats_.as_links = snap_.as_links.size();
   stats_.iterations = snap_.iterations;
-  std::uint64_t ases = 0;
-  for (const auto& [asn, count] : iface_count_by_as_)
-    if (asn != netbase::kNoAs) ++ases;
-  stats_.ases = ases;
+  for (const AsRow& row : as_rows_)
+    if (row.asn != netbase::kNoAs && row.ifaces > 0) ++stats_.ases;
 }
 
 std::unique_ptr<AnnotationStore> AnnotationStore::open(
-    Snapshot snap, const StoreOptions& opt, std::vector<SnapshotIssue>* issues) {
-  std::vector<SnapshotIssue> found;
-  if (opt.audit) found = validate_snapshot(snap, opt.threads);
+    Snapshot snap, int threads, std::vector<SnapshotIssue>* issues) {
+  std::vector<SnapshotIssue> found = validate_snapshot(snap, threads);
   // "serve.store.open" simulates an audit rejection: the injected issue
-  // flows through the same gate-stats accounting and nullptr return as
-  // a genuinely corrupt snapshot, so reload drivers see the real path.
+  // takes the same nullptr return as a genuinely corrupt snapshot, so
+  // reload drivers see the real path.
   if (BDRMAPIT_FAILPOINT("serve.store.open"))
     found.push_back({"failpoint.store-open",
                      "injected audit violation (failpoint serve.store.open)"});
-  {
-    const core::MutexLock lock(g_gate_mu);
-    ++g_gate_stats.opens;
-    if (opt.audit) {
-      ++g_gate_stats.audits_run;
-      g_gate_stats.violations += found.size();
-      if (!found.empty()) ++g_gate_stats.snapshots_rejected;
-    } else {
-      ++g_gate_stats.audits_skipped;
-    }
-  }
-  if (!found.empty()) {
-    if (issues)
-      issues->insert(issues->end(), std::make_move_iterator(found.begin()),
-                     std::make_move_iterator(found.end()));
-    return nullptr;
-  }
-  return std::unique_ptr<AnnotationStore>(new AnnotationStore(std::move(snap)));
-}
-
-LoadGateStats AnnotationStore::load_gate_stats() {
-  const core::MutexLock lock(g_gate_mu);
-  return g_gate_stats;
+  if (found.empty()) return std::make_unique<AnnotationStore>(std::move(snap));
+  if (issues)
+    issues->insert(issues->end(), std::make_move_iterator(found.begin()),
+                   std::make_move_iterator(found.end()));
+  return nullptr;
 }
 
 const SnapshotIface* AnnotationStore::find(
     const netbase::IPAddr& addr) const noexcept {
-  const std::uint32_t* idx = trie_.find(host_prefix(addr));
-  return idx ? &snap_.interfaces[*idx] : nullptr;
-}
-
-const SnapshotIface* AnnotationStore::longest_match(
-    const netbase::IPAddr& addr) const noexcept {
-  const std::uint32_t* idx = trie_.lookup_value(addr);
-  return idx ? &snap_.interfaces[*idx] : nullptr;
-}
-
-std::vector<const SnapshotIface*> AnnotationStore::find_batch(
-    const std::vector<netbase::IPAddr>& addrs) const {
-  std::vector<const SnapshotIface*> out(addrs.size());
-  find_batch(addrs.data(), addrs.size(), out.data());
-  return out;
+  const auto& table = snap_.interfaces;
+  const auto it = std::ranges::lower_bound(table, addr, {}, &SnapshotIface::addr);
+  return it != table.end() && it->addr == addr ? &*it : nullptr;
 }
 
 void AnnotationStore::find_batch(const netbase::IPAddr* addrs, std::size_t n,
@@ -107,28 +101,35 @@ void AnnotationStore::find_batch(const netbase::IPAddr* addrs, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) out[i] = find(addrs[i]);
 }
 
-std::vector<const SnapshotIface*> AnnotationStore::find_under(
-    const netbase::Prefix& cidr) const {
-  std::vector<const SnapshotIface*> out;
-  trie_.visit_under(cidr, [&](const netbase::Prefix&, std::uint32_t idx) {
-    out.push_back(&snap_.interfaces[idx]);
-  });
-  std::sort(out.begin(), out.end(),
-            [](const SnapshotIface* a, const SnapshotIface* b) {
-              return a->addr < b->addr;
-            });
-  return out;
+std::span<const SnapshotIface> AnnotationStore::find_under(
+    const netbase::Prefix& cidr) const noexcept {
+  // A prefix covers one contiguous run of the address-sorted table,
+  // starting at the prefix's network address.
+  const auto& table = snap_.interfaces;
+  const auto lo = std::ranges::lower_bound(table, cidr.addr(), {}, &SnapshotIface::addr);
+  const auto hi = std::partition_point(
+      lo, table.end(), [&cidr](const SnapshotIface& rec) { return cidr.contains(rec.addr); });
+  return {lo, hi};
 }
 
-const std::vector<std::pair<netbase::Asn, netbase::Asn>>& AnnotationStore::links_of(
+std::span<const std::uint32_t> AnnotationStore::router_members(
+    std::uint32_t router_id) const noexcept {
+  const auto& table = snap_.interfaces;
+  const auto run = std::ranges::equal_range(
+      by_router_, router_id, {}, [&table](std::uint32_t pos) { return table[pos].router_id; });
+  return {run.begin(), run.end()};
+}
+
+std::span<const AnnotationStore::AsLink> AnnotationStore::links_of(
     netbase::Asn asn) const noexcept {
-  const auto it = links_by_as_.find(asn);
-  return it == links_by_as_.end() ? kNoLinks : it->second;
+  const AsRow* row = row_in(as_rows_, asn);
+  if (!row) return {};
+  return {links_.data() + row->links_begin, row->links_end - row->links_begin};
 }
 
 std::uint64_t AnnotationStore::iface_count_of(netbase::Asn asn) const noexcept {
-  const auto it = iface_count_by_as_.find(asn);
-  return it == iface_count_by_as_.end() ? 0 : it->second;
+  const AsRow* row = row_in(as_rows_, asn);
+  return row ? row->ifaces : 0;
 }
 
 StoreHandle::StoreHandle(StoreRef initial) : current_(std::move(initial)) {

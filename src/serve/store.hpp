@@ -1,17 +1,21 @@
 // serve/store.hpp — in-memory query engine over a loaded snapshot.
 //
-// AnnotationStore indexes a serve::Snapshot three ways:
+// AnnotationStore is a thin view over the Snapshot it owns. The
+// snapshot's interface table is sorted by address and its AS links are
+// sorted and deduplicated (validate_snapshot checks both), so lookups
+// are binary searches over those arrays:
 //
-//   * a radix::RadixTrie keyed by host prefix for exact-interface and
-//     longest-prefix lookup, plus subtree enumeration for CIDR queries
-//     (`visit_under`);
-//   * AS → interdomain links involving that AS;
-//   * AS → number of interfaces whose router the AS operates.
+//   * find / find_batch: lower_bound over the interface table;
+//   * find_under: the contiguous run of the table a CIDR covers;
+//   * router_members: one array of table positions sorted by
+//     (router_id, position), so a router's aliases are one run;
+//   * links_of / iface_count_of: one AS table sorted by ASN whose rows
+//     hold CSR offsets into one flat array of links grouped by AS.
 //
-// Lookups return pointers into the store's own interface table; they
-// stay valid for the store's lifetime. The batched API answers many
-// exact lookups in one call — the shape `bdrmapit_serve` uses for
-// multi-address IFACE lines and the bench drives for throughput.
+// Results are pointers and spans into the store's own arrays; they stay
+// valid for the store's lifetime, and no lookup allocates. On an image
+// that violates the invariants (the raw constructor does not check)
+// answers may be wrong, but every lookup stays in bounds.
 //
 // A store is immutable once built. Live serving wraps it in a
 // StoreHandle (bottom of this header): an RCU-style publication point
@@ -22,16 +26,17 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/thread_annotations.hpp"
 #include "netbase/asn.hpp"
 #include "netbase/ip_addr.hpp"
 #include "netbase/prefix.hpp"
-#include "radix/radix_trie.hpp"
 #include "serve/snapshot.hpp"
 
 namespace serve {
@@ -46,43 +51,24 @@ struct StoreStats {
   std::uint32_t iterations = 0;
 };
 
-/// Construction-time audit knobs for AnnotationStore::open.
-struct StoreOptions {
-  bool audit = true;  ///< validate the snapshot image before indexing
-  int threads = 1;    ///< executors for the validation scans (<= 0: auto)
-};
-
-/// Process-wide tallies for the audited open() gate, across every
-/// store this process has opened. Guarded by an internal core::Mutex
-/// in store.cpp (the one lock-protected piece of serve state — the
-/// stores themselves are immutable once built).
-struct LoadGateStats {
-  std::uint64_t opens = 0;              ///< open() calls
-  std::uint64_t audits_run = 0;         ///< opens that ran the validator
-  std::uint64_t audits_skipped = 0;     ///< opens with opt.audit false
-  std::uint64_t snapshots_rejected = 0; ///< opens refused by the gate
-  std::uint64_t violations = 0;         ///< violations across all audits
-};
-
 class AnnotationStore {
  public:
-  /// Takes ownership of the snapshot and builds all indexes. Performs
-  /// no validation — callers that ingest untrusted snapshots should go
-  /// through open().
+  using AsLink = std::pair<netbase::Asn, netbase::Asn>;
+
+  /// Takes ownership of the snapshot and builds the router and AS
+  /// indexes. Performs no validation — callers that ingest untrusted
+  /// snapshots should go through open().
   explicit AnnotationStore(Snapshot snap);
 
   /// Audited construction: runs serve::validate_snapshot over the image
-  /// first and refuses to build a store over a violating snapshot —
-  /// returns nullptr with every violation appended to `*issues` (when
-  /// non-null). A CRC check only proves the file is the one that was
-  /// written; this gate proves it is one the pipeline could have
-  /// written. With opt.audit false it always constructs.
-  static std::unique_ptr<AnnotationStore> open(Snapshot snap,
-                                               const StoreOptions& opt = {},
+  /// (sharded across `threads` executors, <= 0: auto) and refuses to
+  /// build a store over a violating snapshot — returns nullptr with
+  /// every violation appended to `*issues` (when non-null). A CRC check
+  /// only proves the file is the one that was written; this gate proves
+  /// it is one the pipeline could have written, which the lookups rely
+  /// on for correct answers.
+  static std::unique_ptr<AnnotationStore> open(Snapshot snap, int threads = 1,
                                                std::vector<SnapshotIssue>* issues = nullptr);
-
-  /// Consistent snapshot of the process-wide load/audit gate tallies.
-  static LoadGateStats load_gate_stats();
 
   AnnotationStore(const AnnotationStore&) = delete;
   AnnotationStore& operator=(const AnnotationStore&) = delete;
@@ -90,28 +76,22 @@ class AnnotationStore {
   /// Exact-interface lookup; nullptr if the address was never observed.
   const SnapshotIface* find(const netbase::IPAddr& addr) const noexcept;
 
-  /// Longest-prefix lookup: the most specific stored entry covering
-  /// `addr`. With host-prefix entries this equals find(); kept separate
-  /// so future aggregate entries (e.g. per-prefix rollups) slot in.
-  const SnapshotIface* longest_match(const netbase::IPAddr& addr) const noexcept;
-
-  /// Batched exact lookup: out[i] answers addrs[i] (nullptr on miss).
-  std::vector<const SnapshotIface*> find_batch(
-      const std::vector<netbase::IPAddr>& addrs) const;
-
-  /// Batched exact lookup into a caller-provided array of `n` slots —
-  /// one trie pass, no allocation. The BULK reply path and the text
-  /// IFACE hot path answer through this with per-thread scratch.
+  /// Batched exact lookup into a caller-provided array of `n` slots:
+  /// out[i] answers addrs[i] (nullptr on miss). The BULK reply path and
+  /// the text IFACE hot path answer through this with per-thread scratch.
   void find_batch(const netbase::IPAddr* addrs, std::size_t n,
                   const SnapshotIface** out) const noexcept;
 
   /// All interfaces inside `cidr`, in ascending address order.
-  std::vector<const SnapshotIface*> find_under(const netbase::Prefix& cidr) const;
+  std::span<const SnapshotIface> find_under(const netbase::Prefix& cidr) const noexcept;
+
+  /// Positions in snapshot().interfaces of every interface on router
+  /// `router_id`, ascending (so in address order). Empty if none.
+  std::span<const std::uint32_t> router_members(std::uint32_t router_id) const noexcept;
 
   /// Interdomain links involving `asn` (smaller ASN first in each pair),
-  /// ascending. Empty vector if the AS appears in none.
-  const std::vector<std::pair<netbase::Asn, netbase::Asn>>& links_of(
-      netbase::Asn asn) const noexcept;
+  /// ascending. Empty if the AS appears in none.
+  std::span<const AsLink> links_of(netbase::Asn asn) const noexcept;
 
   /// Number of observed interfaces operated by `asn` (router_as == asn).
   std::uint64_t iface_count_of(netbase::Asn asn) const noexcept;
@@ -120,11 +100,19 @@ class AnnotationStore {
   const Snapshot& snapshot() const noexcept { return snap_; }
 
  private:
+  /// One AS: its interface count and its run [links_begin, links_end)
+  /// of links_.
+  struct AsRow {
+    netbase::Asn asn = netbase::kNoAs;
+    std::uint64_t ifaces = 0;
+    std::size_t links_begin = 0;
+    std::size_t links_end = 0;
+  };
+
   Snapshot snap_;
-  radix::RadixTrie<std::uint32_t> trie_;  ///< host prefix -> interface index
-  std::unordered_map<netbase::Asn, std::vector<std::pair<netbase::Asn, netbase::Asn>>>
-      links_by_as_;
-  std::unordered_map<netbase::Asn, std::uint64_t> iface_count_by_as_;
+  std::vector<std::uint32_t> by_router_;  ///< table positions by (router_id, position)
+  std::vector<AsRow> as_rows_;            ///< sorted by ASN
+  std::vector<AsLink> links_;             ///< each AS's links, grouped by as_rows_
   StoreStats stats_;
 };
 

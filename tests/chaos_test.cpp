@@ -514,7 +514,6 @@ TEST_F(ChaosTest, ReloadTortureKeepsGenerationsConsistent) {
     // armed per attempt so fires == failed attempts, exactly.
     std::uint64_t expect_failed = 0;
     std::uint64_t expect_ok = 0;
-    const serve::StoreOptions opt{/*audit=*/true, /*threads=*/2};
     for (int attempt = 0; attempt < kAttemptsPerSchedule; ++attempt) {
       const std::string& path = (attempt % 2 == 0) ? path_b : path_a;
       const std::uint64_t fault = rng.next() % 5;
@@ -543,8 +542,8 @@ TEST_F(ChaosTest, ReloadTortureKeepsGenerationsConsistent) {
       // attempt, never a dead publisher.
       try {
         if (serve::load_snapshot_file(path, &snap, &err)) {
-          auto next = serve::AnnotationStore::open(std::move(snap), opt,
-                                                   nullptr);
+          auto next = serve::AnnotationStore::open(std::move(snap),
+                                                   /*threads=*/2);
           if (next != nullptr) {
             handle_->publish(std::move(next));
             server_->broadcast([] {});

@@ -353,7 +353,7 @@ TEST_F(NetReloadTest, FailedReloadKeepsOldGenerationServing) {
   serve::Snapshot bad = make_snapshot(kGenBOffset);
   std::swap(bad.interfaces[0], bad.interfaces[1]);  // break the sort order
   std::vector<serve::SnapshotIssue> issues;
-  const auto rejected = serve::AnnotationStore::open(std::move(bad), {},
+  const auto rejected = serve::AnnotationStore::open(std::move(bad), 1,
                                                     &issues);
   EXPECT_EQ(rejected, nullptr);
   EXPECT_FALSE(issues.empty());

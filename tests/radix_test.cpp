@@ -126,42 +126,6 @@ TEST(RadixTrie, VisitSeesEveryEntry) {
   EXPECT_EQ(count, 3);
 }
 
-TEST(RadixTrie, VisitUnderEnumeratesSubtree) {
-  RadixTrie<int> trie;
-  trie.insert(Prefix::must_parse("10.0.0.0/8"), 8);
-  trie.insert(Prefix::must_parse("10.1.0.0/16"), 16);
-  trie.insert(Prefix::must_parse("10.1.2.0/24"), 24);
-  trie.insert(Prefix::must_parse("10.1.2.3/32"), 32);
-  trie.insert(Prefix::must_parse("11.0.0.0/8"), 11);
-  std::vector<int> seen;
-  trie.visit_under(Prefix::must_parse("10.1.0.0/16"),
-                   [&](const Prefix&, const int& v) { seen.push_back(v); });
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(seen, (std::vector<int>{16, 24, 32}));
-
-  // A query below every entry matches nothing…
-  seen.clear();
-  trie.visit_under(Prefix::must_parse("10.2.0.0/16"),
-                   [&](const Prefix&, const int& v) { seen.push_back(v); });
-  EXPECT_TRUE(seen.empty());
-
-  // …and the default route covers all of v4.
-  int count = 0;
-  trie.visit_under(Prefix::must_parse("0.0.0.0/0"),
-                   [&](const Prefix&, const int&) { ++count; });
-  EXPECT_EQ(count, 5);
-}
-
-TEST(RadixTrie, VisitUnderExactLeaf) {
-  RadixTrie<int> trie;
-  trie.insert(Prefix::must_parse("192.0.2.1/32"), 1);
-  trie.insert(Prefix::must_parse("192.0.2.2/32"), 2);
-  std::vector<int> seen;
-  trie.visit_under(Prefix::must_parse("192.0.2.1/32"),
-                   [&](const Prefix&, const int& v) { seen.push_back(v); });
-  EXPECT_EQ(seen, (std::vector<int>{1}));
-}
-
 TEST(RadixTrie, V6LongestMatch) {
   RadixTrie<int> trie;
   trie.insert(Prefix::must_parse("2001:db8::/32"), 32);
@@ -232,37 +196,6 @@ TEST_P(RadixProperty, MatchesBruteForce) {
     } else {
       EXPECT_EQ(got, nullptr) << probe.to_string();
     }
-  }
-}
-
-TEST_P(RadixProperty, VisitUnderMatchesBruteForce) {
-  netbase::SplitMix64 rng(GetParam() ^ 0x715E2ull);
-  RadixTrie<std::size_t> trie;
-  std::vector<Prefix> prefixes;
-  for (std::size_t i = 0; i < 400; ++i) {
-    const Prefix p(IPAddr::v4(static_cast<std::uint32_t>(rng())),
-                   4 + static_cast<int>(rng.below(29)));
-    if (!trie.find(p)) {
-      trie.insert(p, prefixes.size());
-      prefixes.push_back(p);
-    }
-  }
-  for (int i = 0; i < 200; ++i) {
-    Prefix q(IPAddr::v4(static_cast<std::uint32_t>(rng())),
-             static_cast<int>(rng.below(25)));
-    if (i % 2 == 0 && !prefixes.empty())  // half the queries near real entries
-      q = Prefix(prefixes[rng.below(prefixes.size())].addr(),
-                 static_cast<int>(rng.below(25)));
-    std::vector<std::size_t> got;
-    trie.visit_under(q, [&](const Prefix&, const std::size_t& v) {
-      got.push_back(v);
-    });
-    std::vector<std::size_t> expect;
-    for (std::size_t j = 0; j < prefixes.size(); ++j)
-      if (q.contains(prefixes[j])) expect.push_back(j);
-    std::sort(got.begin(), got.end());
-    std::sort(expect.begin(), expect.end());
-    EXPECT_EQ(got, expect) << q.to_string();
   }
 }
 

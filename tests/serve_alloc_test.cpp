@@ -1,10 +1,11 @@
-// Allocation accounting for the serving hot paths (ISSUE 7 acceptance
-// gate): once a connection's scratch buffers are warm, answering a
-// request — text IFACE line or binary BULK frame — must not touch the
-// heap. The global operator new/delete are replaced with counting
-// wrappers; each test warms the path once (scratch vectors and the
-// reply string grow to capacity), zeroes the counter, and asserts the
-// steady-state iterations allocate nothing.
+// Allocation accounting for the serving hot paths: once a connection's
+// scratch buffers are warm, answering a request — any text read verb
+// (IFACE, PREFIX, LINKS, ROUTER, COUNT, STATS), an error reply, or a
+// binary BULK frame — must not touch the heap. The global operator
+// new/delete are replaced with counting wrappers; each test warms the
+// path once (scratch vectors and the reply string grow to capacity),
+// zeroes the counter, and asserts the steady-state iterations allocate
+// nothing.
 //
 // This is the same code the TCP server runs: serve::Protocol's
 // handle_line/handle_bulk render into a caller-provided reusable
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netbase/ip_addr.hpp"
@@ -41,10 +43,14 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line, and the only one that calls free(): GCC then does not
+// pair an inlined free() with operator new and warn
+// (-Wmismatched-new-delete) about memory this operator new took from
+// malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -78,6 +84,7 @@ serve::Snapshot tiny_snapshot() {
   };
   snap.interfaces.push_back(iface("10.0.0.1", 0, 65001, 65002));
   snap.interfaces.push_back(iface("10.0.1.1", 1, 65002, 65001));
+  snap.interfaces.push_back(iface("2001:db8:1::1", 1, 65002, 65002));
   snap.as_links.emplace_back(65001, 65002);
   return snap;
 }
@@ -93,26 +100,63 @@ class ServeAllocTest : public ::testing::Test {
     protocol_ = std::make_unique<serve::Protocol>(*handle_);
   }
 
+  /// Answers `line` a few times so the reply string and the per-thread
+  /// parse scratch grow to their steady-state capacity, then returns the
+  /// allocations made by 1000 more answers. `reply` gets the last one.
+  std::uint64_t warm_allocs(std::string_view line, std::string* reply = nullptr) {
+    std::string out;
+    for (int i = 0; i < 4; ++i) {
+      out.clear();
+      protocol_->handle_line(line, out);
+    }
+    std::uint64_t allocs = 0;
+    {
+      AllocGuard guard;
+      for (int i = 0; i < 1000; ++i) {
+        out.clear();  // capacity is retained, exactly like Connection::out_
+        protocol_->handle_line(line, out);
+      }
+      allocs = guard.count();
+    }
+    if (reply) *reply = out;
+    return allocs;
+  }
+
   std::unique_ptr<serve::StoreHandle> handle_;
   std::unique_ptr<serve::Protocol> protocol_;
 };
 
 TEST_F(ServeAllocTest, TextIfacePathIsAllocationFreeWhenWarm) {
-  std::string out;
-  // Warm-up: the reply string and the per-thread parse scratch grow to
-  // their steady-state capacity (hits, misses, multi-address lines).
-  for (int i = 0; i < 4; ++i) {
-    out.clear();
-    protocol_->handle_line("IFACE 10.0.0.1 10.0.1.1 203.0.113.7", out);
-  }
+  // Hits, a miss and a multi-address line.
+  EXPECT_EQ(warm_allocs("IFACE 10.0.0.1 10.0.1.1 203.0.113.7"), 0u);
+}
 
-  AllocGuard guard;
-  for (int i = 0; i < 1000; ++i) {
-    out.clear();  // capacity is retained, exactly like Connection::out_
-    protocol_->handle_line("IFACE 10.0.0.1 10.0.1.1 203.0.113.7", out);
-  }
-  EXPECT_EQ(guard.count(), 0u)
-      << "text IFACE steady state allocated " << guard.count() << " times";
+TEST_F(ServeAllocTest, PrefixPathIsAllocationFreeWhenWarm) {
+  std::string reply;
+  EXPECT_EQ(warm_allocs("PREFIX 10.0.0.0/16", &reply), 0u);
+  EXPECT_EQ(reply.substr(reply.rfind("END")), "END\t2\n");
+  EXPECT_EQ(warm_allocs("PREFIX 2001:db8::/32", &reply), 0u);
+  EXPECT_EQ(reply.substr(reply.rfind("END")), "END\t1\n");
+}
+
+TEST_F(ServeAllocTest, LinksPathIsAllocationFreeWhenWarm) {
+  std::string reply;
+  EXPECT_EQ(warm_allocs("LINKS 65001", &reply), 0u);
+  EXPECT_EQ(reply, "65001\t65002\nEND\t1\n");
+}
+
+TEST_F(ServeAllocTest, RouterPathIsAllocationFreeWhenWarm) {
+  std::string reply;
+  EXPECT_EQ(warm_allocs("ROUTER 10.0.1.1", &reply), 0u);
+  EXPECT_EQ(reply.substr(reply.rfind("END")), "END\t2\n");
+}
+
+TEST_F(ServeAllocTest, CountAndStatsPathsAreAllocationFreeWhenWarm) {
+  std::string reply;
+  EXPECT_EQ(warm_allocs("COUNT 65002", &reply), 0u);
+  EXPECT_EQ(reply, "65002\t2\n");
+  EXPECT_EQ(warm_allocs("STATS", &reply), 0u);
+  EXPECT_EQ(reply.substr(reply.rfind("END")), "END\t6\n");
 }
 
 TEST_F(ServeAllocTest, BulkPathIsAllocationFreeWhenWarm) {
@@ -157,20 +201,9 @@ TEST_F(ServeAllocTest, StoreHandleAcquireIsAllocationFree) {
 }
 
 TEST_F(ServeAllocTest, ErrorRepliesAreAllocationFreeWhenWarm) {
-  std::string out;
-  for (int i = 0; i < 4; ++i) {
-    out.clear();
-    protocol_->handle_line("IFACE notanaddress", out);
-    protocol_->handle_line("NOSUCH", out);
-  }
-
-  AllocGuard guard;
-  for (int i = 0; i < 1000; ++i) {
-    out.clear();
-    protocol_->handle_line("IFACE notanaddress", out);
-    protocol_->handle_line("NOSUCH", out);
-  }
-  EXPECT_EQ(guard.count(), 0u);
+  EXPECT_EQ(warm_allocs("IFACE notanaddress"), 0u);
+  EXPECT_EQ(warm_allocs("NOSUCH"), 0u);
+  EXPECT_EQ(warm_allocs("ROUTER 203.0.113.7"), 0u);
 }
 
 }  // namespace

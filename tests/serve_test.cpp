@@ -12,6 +12,7 @@
 #include <unordered_set>
 
 #include "eval/experiment.hpp"
+#include "serve/protocol.hpp"
 #include "serve/store.hpp"
 
 namespace {
@@ -172,8 +173,6 @@ TEST(Store, AnswersMatchResult) {
     EXPECT_EQ(rec->inf.conn_as, inf.conn_as);
     EXPECT_EQ(rec->inf.ixp, inf.ixp);
     EXPECT_EQ(rec->inf.flags(), inf.flags());
-    // Host-prefix entries: longest match agrees with exact.
-    EXPECT_EQ(store.longest_match(addr), rec);
   }
   EXPECT_EQ(store.find(netbase::IPAddr::must_parse("255.255.255.254")), nullptr);
 }
@@ -185,8 +184,8 @@ TEST(Store, BatchedEqualsSingles) {
   std::vector<netbase::IPAddr> addrs;
   for (const auto& rec : store.snapshot().interfaces) addrs.push_back(rec.addr);
   addrs.push_back(netbase::IPAddr::must_parse("203.0.113.250"));  // likely miss
-  const auto batch = store.find_batch(addrs);
-  ASSERT_EQ(batch.size(), addrs.size());
+  std::vector<const serve::SnapshotIface*> batch(addrs.size());
+  store.find_batch(addrs.data(), addrs.size(), batch.data());
   for (std::size_t i = 0; i < addrs.size(); ++i)
     EXPECT_EQ(batch[i], store.find(addrs[i]));
 }
@@ -203,17 +202,17 @@ TEST(Store, PrefixEnumerationMatchesFilter) {
   for (const auto& rec : all) v4_count += rec.addr.is_v4();
   EXPECT_EQ(everything.size(), v4_count);
   for (std::size_t i = 1; i < everything.size(); ++i)
-    EXPECT_LT(everything[i - 1]->addr, everything[i]->addr);
+    EXPECT_LT(everything[i - 1].addr, everything[i].addr);
 
   // Every /20 around an observed address returns exactly the brute-force
-  // filtered set.
+  // filtered set, in table order.
   for (std::size_t i = 0; i < all.size(); i += all.size() / 16 + 1) {
     const netbase::Prefix p(all[i].addr, 20);
-    const auto got = store.find_under(p);
-    std::size_t expect = 0;
-    for (const auto& rec : all) expect += p.contains(rec.addr);
-    EXPECT_EQ(got.size(), expect) << p.to_string();
-    for (const auto* rec : got) EXPECT_TRUE(p.contains(rec->addr));
+    std::vector<netbase::IPAddr> got, expect;
+    for (const auto& rec : store.find_under(p)) got.push_back(rec.addr);
+    for (const auto& rec : all)
+      if (p.contains(rec.addr)) expect.push_back(rec.addr);
+    EXPECT_EQ(got, expect) << p.to_string();
   }
 }
 
@@ -232,7 +231,9 @@ TEST(Store, SecondaryIndexesAreConsistent) {
     ases.insert(b);
   }
   for (netbase::Asn asn : ases) {
-    const auto& got = store.links_of(asn);
+    const auto links_of = store.links_of(asn);
+    const std::vector<std::pair<netbase::Asn, netbase::Asn>> got(links_of.begin(),
+                                                                 links_of.end());
     std::vector<std::pair<netbase::Asn, netbase::Asn>> expect;
     for (const auto& l : links)
       if (l.first == asn || l.second == asn) expect.push_back(l);
@@ -271,6 +272,71 @@ TEST(Store, RouterMembershipMatchesGraph) {
   }
 }
 
+// ROUTER answers every alias of the router in ascending address order,
+// then END with the count: a brute-force filter of the table, rendered
+// independently of the protocol's formatter.
+TEST(Store, RouterRepliesMatchBruteForce) {
+  auto run = run_small(7);
+  serve::StoreHandle handle(std::make_shared<const serve::AnnotationStore>(
+      must_load(serialize(serve::snapshot_from_result(run.result)))));
+  const serve::Protocol protocol(handle);
+  const auto& all = handle.acquire()->snapshot().interfaces;
+  ASSERT_FALSE(all.empty());
+  std::size_t multi = 0;  // routers with more than one alias
+  for (const auto& rec : all) {
+    std::string expect;
+    std::size_t n = 0;
+    for (const auto& other : all) {
+      if (other.router_id != rec.router_id) continue;
+      expect += other.addr.to_string() + "\t" + std::to_string(other.inf.router_as) +
+                "\t" + std::to_string(other.inf.conn_as) + "\t" + other.inf.flags() +
+                "\n";
+      ++n;
+    }
+    expect += "END\t" + std::to_string(n) + "\n";
+    multi += n > 1;
+    std::string got;
+    protocol.handle_line("ROUTER " + rec.addr.to_string(), got);
+    EXPECT_EQ(got, expect) << rec.addr.to_string();
+  }
+  EXPECT_GT(multi, 0u);  // the scenario has real alias sets
+}
+
+// find_under's edges on a hand-built dual-stack table: each family's
+// default route stays in its family, a host prefix is exactly its
+// record, and prefixes past either family's last record are empty.
+TEST(Store, FindUnderDualStackEdges) {
+  serve::Snapshot snap;
+  snap.router_count = 2;
+  for (const char* addr : {"10.0.0.1", "10.0.0.2", "192.0.2.7", "2001:db8::1",
+                           "2001:db8::2", "2001:db8:1::1"}) {
+    serve::SnapshotIface rec;
+    rec.addr = netbase::IPAddr::must_parse(addr);
+    rec.router_id = rec.addr.is_v4() ? 0 : 1;
+    rec.inf.router_as = 65001;
+    snap.interfaces.push_back(rec);
+  }
+  ASSERT_TRUE(serve::validate_snapshot(snap).empty());
+  const serve::AnnotationStore store(snap);
+  auto addrs_under = [&store](const char* cidr) {
+    std::vector<std::string> out;
+    for (const auto& rec : store.find_under(netbase::Prefix::must_parse(cidr)))
+      out.push_back(rec.addr.to_string());
+    return out;
+  };
+  using V = std::vector<std::string>;
+  EXPECT_EQ(addrs_under("0.0.0.0/0"), (V{"10.0.0.1", "10.0.0.2", "192.0.2.7"}));
+  EXPECT_EQ(addrs_under("::/0"), (V{"2001:db8::1", "2001:db8::2", "2001:db8:1::1"}));
+  EXPECT_EQ(addrs_under("10.0.0.2/32"), (V{"10.0.0.2"}));
+  EXPECT_EQ(addrs_under("2001:db8::1/128"), (V{"2001:db8::1"}));
+  EXPECT_EQ(addrs_under("10.0.0.0/30"), (V{"10.0.0.1", "10.0.0.2"}));
+  EXPECT_EQ(addrs_under("2001:db8::/48"), (V{"2001:db8::1", "2001:db8::2"}));
+  EXPECT_TRUE(addrs_under("10.0.0.3/32").empty());
+  EXPECT_TRUE(addrs_under("223.0.0.0/8").empty());     // past the last v4 record
+  EXPECT_TRUE(addrs_under("ffff::/16").empty());       // past the last record
+  EXPECT_TRUE(addrs_under("0.0.0.0/8").empty());       // before the first record
+}
+
 // ---- serve-time audit gate ---------------------------------------------
 
 TEST(StoreAudit, HealthySnapshotValidatesCleanAndOpens) {
@@ -278,7 +344,7 @@ TEST(StoreAudit, HealthySnapshotValidatesCleanAndOpens) {
   serve::Snapshot snap = serve::snapshot_from_result(run.result);
   EXPECT_TRUE(serve::validate_snapshot(snap).empty());
   std::vector<serve::SnapshotIssue> issues;
-  const auto store = serve::AnnotationStore::open(snap, {}, &issues);
+  const auto store = serve::AnnotationStore::open(snap, 1, &issues);
   ASSERT_NE(store, nullptr);
   EXPECT_TRUE(issues.empty());
   EXPECT_EQ(store->stats().interfaces, snap.interfaces.size());
@@ -297,18 +363,9 @@ TEST(StoreAudit, CrcValidButViolatingSnapshotIsRejected) {
   EXPECT_EQ(found.front().check, "snapshot.iface-sorted");
 
   std::vector<serve::SnapshotIssue> issues;
-  EXPECT_EQ(serve::AnnotationStore::open(std::move(reloaded), {}, &issues),
+  EXPECT_EQ(serve::AnnotationStore::open(std::move(reloaded), 1, &issues),
             nullptr);
   EXPECT_FALSE(issues.empty());
-}
-
-TEST(StoreAudit, NoAuditOptOutStillOpens) {
-  auto run = run_small(5);
-  serve::Snapshot snap = serve::snapshot_from_result(run.result);
-  std::swap(snap.interfaces.front(), snap.interfaces.back());
-  serve::StoreOptions opt;
-  opt.audit = false;
-  EXPECT_NE(serve::AnnotationStore::open(std::move(snap), opt), nullptr);
 }
 
 TEST(StoreAudit, DanglingAsLinkAndRouterCountAreFlagged) {
@@ -347,66 +404,13 @@ TEST(StoreAudit, ValidationIsThreadCountInvariant) {
   }
 }
 
-// Delta-based (the tallies are process-wide and other tests in this
-// binary also call open()): each kind of open must move exactly its
-// own counters.
-TEST(StoreAudit, LoadGateStatsTallyOpens) {
-  auto run = run_small(5);
-
-  // Audited open of a healthy snapshot.
-  serve::LoadGateStats before = serve::AnnotationStore::load_gate_stats();
-  {
-    serve::Snapshot snap = serve::snapshot_from_result(run.result);
-    ASSERT_NE(serve::AnnotationStore::open(std::move(snap)), nullptr);
-  }
-  serve::LoadGateStats after = serve::AnnotationStore::load_gate_stats();
-  EXPECT_EQ(after.opens, before.opens + 1);
-  EXPECT_EQ(after.audits_run, before.audits_run + 1);
-  EXPECT_EQ(after.audits_skipped, before.audits_skipped);
-  EXPECT_EQ(after.snapshots_rejected, before.snapshots_rejected);
-  EXPECT_EQ(after.violations, before.violations);
-
-  // Opt-out open: audit skipped, nothing rejected.
-  before = after;
-  {
-    serve::Snapshot snap = serve::snapshot_from_result(run.result);
-    serve::StoreOptions opt;
-    opt.audit = false;
-    ASSERT_NE(serve::AnnotationStore::open(std::move(snap), opt), nullptr);
-  }
-  after = serve::AnnotationStore::load_gate_stats();
-  EXPECT_EQ(after.opens, before.opens + 1);
-  EXPECT_EQ(after.audits_run, before.audits_run);
-  EXPECT_EQ(after.audits_skipped, before.audits_skipped + 1);
-  EXPECT_EQ(after.snapshots_rejected, before.snapshots_rejected);
-
-  // Audited open of a violating snapshot: rejected, violations tallied.
-  before = after;
-  {
-    serve::Snapshot snap = serve::snapshot_from_result(run.result);
-    ASSERT_GE(snap.interfaces.size(), 2u);
-    std::swap(snap.interfaces.front(), snap.interfaces.back());
-    std::vector<serve::SnapshotIssue> issues;
-    EXPECT_EQ(serve::AnnotationStore::open(std::move(snap), {}, &issues),
-              nullptr);
-    EXPECT_FALSE(issues.empty());
-  }
-  after = serve::AnnotationStore::load_gate_stats();
-  EXPECT_EQ(after.opens, before.opens + 1);
-  EXPECT_EQ(after.audits_run, before.audits_run + 1);
-  EXPECT_EQ(after.snapshots_rejected, before.snapshots_rejected + 1);
-  EXPECT_GT(after.violations, before.violations);
-}
-
-// A hot-reload cycle is just a sequence of gated opens feeding a
-// StoreHandle: every attempt — success, opt-out, or audit rejection —
-// must move the gate tallies exactly as a cold open would, and only
-// the successes may advance the published generation.
-TEST(StoreAudit, LoadGateStatsTallyAcrossReloads) {
+// A hot-reload cycle is a sequence of gated opens feeding a
+// StoreHandle: only candidates the gate accepts may advance the
+// published generation.
+TEST(StoreAudit, RejectedReloadNeverPublishes) {
   auto run = run_small(5);
   auto healthy = [&] { return serve::snapshot_from_result(run.result); };
 
-  serve::LoadGateStats before = serve::AnnotationStore::load_gate_stats();
   serve::StoreHandle handle(serve::AnnotationStore::open(healthy()));
   EXPECT_EQ(handle.generation(), 1u);
 
@@ -424,28 +428,11 @@ TEST(StoreAudit, LoadGateStatsTallyAcrossReloads) {
     ASSERT_GE(bad.interfaces.size(), 2u);
     std::swap(bad.interfaces.front(), bad.interfaces.back());
     std::vector<serve::SnapshotIssue> issues;
-    EXPECT_EQ(serve::AnnotationStore::open(
-                  must_load(serialize(bad)), {}, &issues),
+    EXPECT_EQ(serve::AnnotationStore::open(must_load(serialize(bad)), 1, &issues),
               nullptr);
     EXPECT_FALSE(issues.empty());
   }
   EXPECT_EQ(handle.generation(), 2u);
-
-  // Reload #3: audit opted out (the operator's emergency hatch).
-  {
-    serve::StoreOptions opt;
-    opt.audit = false;
-    auto next = serve::AnnotationStore::open(healthy(), opt);
-    ASSERT_NE(next, nullptr);
-    EXPECT_EQ(handle.publish(std::move(next)), 3u);
-  }
-
-  const serve::LoadGateStats after = serve::AnnotationStore::load_gate_stats();
-  EXPECT_EQ(after.opens, before.opens + 4);  // initial + three reloads
-  EXPECT_EQ(after.audits_run, before.audits_run + 3);
-  EXPECT_EQ(after.audits_skipped, before.audits_skipped + 1);
-  EXPECT_EQ(after.snapshots_rejected, before.snapshots_rejected + 1);
-  EXPECT_GT(after.violations, before.violations);
 
   // The surviving generation still answers: the rejected candidate
   // never reached the handle.
@@ -460,4 +447,9 @@ TEST(StoreAudit, EmptySnapshotValidatesCleanAndServesZeroState) {
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(store->stats().interfaces, 0u);
   EXPECT_EQ(store->stats().routers, 0u);
+  EXPECT_EQ(store->find(netbase::IPAddr::must_parse("10.0.0.1")), nullptr);
+  EXPECT_TRUE(store->find_under(netbase::Prefix::must_parse("::/0")).empty());
+  EXPECT_TRUE(store->router_members(0).empty());
+  EXPECT_TRUE(store->links_of(65001).empty());
+  EXPECT_EQ(store->iface_count_of(netbase::kNoAs), 0u);
 }
