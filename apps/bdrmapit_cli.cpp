@@ -28,6 +28,10 @@
 //   --as-links     TSV: as_a <tab> as_b (deduplicated AS adjacencies)
 //   --itdk PREFIX  write PREFIX.nodes and PREFIX.nodes.as (ITDK style)
 //   --snapshot-out FILE  binary snapshot for bdrmapit_serve (docs/FORMATS.md)
+//
+// An output that cannot be written in full (missing directory, full
+// disk) is exit 1 with one diagnostic, like a bad flag; audit
+// violations under --audit are exit 2.
 
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +47,8 @@
 #include "core/itdk.hpp"
 #include "serve/snapshot.hpp"
 #include "tracedata/scamper_json.hpp"
+
+#include "flags.hpp"
 
 namespace {
 
@@ -66,6 +72,19 @@ std::ifstream open_or_die(const std::string& path) {
     std::exit(1);
   }
   return in;
+}
+
+// Writes `path` through `fill`. False, after one diagnostic, unless
+// every byte reached the file: open, each write and the closing flush
+// are all checked.
+template <typename Fill>
+bool write_file(const std::string& path, Fill&& fill) {
+  std::ofstream out(path);
+  fill(out);
+  out.close();
+  if (out) return true;
+  std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return false;
 }
 
 }  // namespace
@@ -116,29 +135,17 @@ int main(int argc, char** argv) {
     }
   }
   if (args.contains("max-iterations")) {
-    const std::string& v = args["max-iterations"];
-    char* end = nullptr;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || *end != '\0' || n < 0 || n > 1000000) {
-      std::fprintf(stderr,
-                   "error: --max-iterations expects a non-negative integer, "
-                   "got '%s'\n", v.c_str());
-      return 1;
-    }
-    opt.max_iterations = static_cast<int>(n);
+    const auto n = apps::parse_flag("--max-iterations", args["max-iterations"], 0L,
+                                    1000000L, "a non-negative integer");
+    if (!n) return 1;
+    opt.max_iterations = static_cast<int>(*n);
   }
   opt.threads = 0;  // CLI default: hardware concurrency
   if (args.contains("threads")) {
-    const std::string& v = args["threads"];
-    char* end = nullptr;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || *end != '\0' || n < 1 || n > 1024) {
-      std::fprintf(stderr,
-                   "error: --threads expects a positive integer (1..1024), "
-                   "got '%s'\n", v.c_str());
-      return 1;
-    }
-    opt.threads = static_cast<int>(n);
+    const auto n = apps::parse_flag("--threads", args["threads"], 1L, 1024L,
+                                    "a positive integer (1..1024)");
+    if (!n) return 1;
+    opt.threads = static_cast<int>(*n);
   }
 
   // ---- load inputs ----------------------------------------------------
@@ -210,14 +217,8 @@ int main(int argc, char** argv) {
                result.interfaces.size(), result.iterations);
 
   // ---- write outputs ------------------------------------------------------
-  {
-    std::ofstream file;
-    std::ostream* out = &std::cout;
-    if (args.contains("output")) {
-      file.open(args["output"]);
-      out = &file;
-    }
-    *out << "# addr\trouter_as\tconn_as\tflags\n";
+  const auto write_tsv = [&](std::ostream& out) {
+    out << "# addr\trouter_as\tconn_as\tflags\n";
     // Deterministic order: sort addresses.
     std::vector<netbase::IPAddr> addrs;
     addrs.reserve(result.interfaces.size());
@@ -225,15 +226,25 @@ int main(int argc, char** argv) {
     std::sort(addrs.begin(), addrs.end());
     for (const auto& addr : addrs) {
       const auto& inf = result.interfaces.at(addr);
-      *out << addr.to_string() << '\t' << inf.router_as << '\t' << inf.conn_as
-           << '\t' << inf.flags() << '\n';
+      out << addr.to_string() << '\t' << inf.router_as << '\t' << inf.conn_as
+          << '\t' << inf.flags() << '\n';
+    }
+  };
+  if (args.contains("output")) {
+    if (!write_file(args["output"], write_tsv)) return 1;
+  } else {
+    write_tsv(std::cout);
+    if (!std::cout.flush()) {
+      std::fprintf(stderr, "error: cannot write standard output\n");
+      return 1;
     }
   }
-  if (args.contains("as-links")) {
-    std::ofstream out(args["as-links"]);
-    out << "# as_a\tas_b\n";
-    for (const auto& [a, b] : result.as_links()) out << a << '\t' << b << '\n';
-  }
+  if (args.contains("as-links") &&
+      !write_file(args["as-links"], [&](std::ostream& out) {
+        out << "# as_a\tas_b\n";
+        for (const auto& [a, b] : result.as_links()) out << a << '\t' << b << '\n';
+      }))
+    return 1;
   if (args.contains("snapshot-out")) {
     const serve::Snapshot snap = serve::snapshot_from_result(result);
     if (run_audit)
@@ -247,14 +258,11 @@ int main(int argc, char** argv) {
   }
   if (args.contains("itdk")) {
     const auto nodes = core::itdk_nodes(result);
-    {
-      std::ofstream out(args["itdk"] + ".nodes");
-      core::write_itdk_nodes(out, nodes);
-    }
-    {
-      std::ofstream out(args["itdk"] + ".nodes.as");
-      core::write_itdk_nodes_as(out, nodes);
-    }
+    if (!write_file(args["itdk"] + ".nodes",
+                    [&](std::ostream& out) { core::write_itdk_nodes(out, nodes); }) ||
+        !write_file(args["itdk"] + ".nodes.as",
+                    [&](std::ostream& out) { core::write_itdk_nodes_as(out, nodes); }))
+      return 1;
   }
   if (run_audit) {
     for (const auto& [stage, v] : violations)

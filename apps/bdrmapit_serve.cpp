@@ -35,7 +35,9 @@
 // (ERR not-admin) and leaves SIGHUP at its default disposition.
 //
 // `--threads N` is the one concurrency knob: it shards the audit scans
-// and sizes the TCP event loops (<= 0 picks hardware concurrency).
+// and sizes the TCP event loops (0 picks hardware concurrency). Numeric
+// flags take whole numbers only (apps/flags.hpp): "abc", "5x" or an
+// empty value is a usage error, exit 1.
 //
 // The TCP transport also speaks the binary BULK lookup protocol
 // (serve/bulk.hpp, docs/SERVING.md): frames starting with the 0xBD
@@ -60,9 +62,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -77,6 +79,8 @@
 #include "serve/bulk_transport.hpp"
 #include "serve/protocol.hpp"
 #include "serve/store.hpp"
+
+#include "flags.hpp"
 
 namespace {
 
@@ -525,6 +529,9 @@ int main(int argc, char** argv) {
   bool reload_enabled = true;
   ListenOptions listen_opt;
   int threads = 1;
+  constexpr long kLongMax = std::numeric_limits<long>::max();
+  constexpr double kRateMax = std::numeric_limits<double>::max();
+  constexpr double kRateMin = std::numeric_limits<double>::denorm_min();  // > 0
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--snapshot" && i + 1 < argc) {
@@ -532,61 +539,54 @@ int main(int argc, char** argv) {
     } else if (a == "--quiet") {
       quiet = true;
     } else if (a == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      const auto v = apps::parse_flag(
+          "--threads", argv[++i], 0L, 1024L,
+          "an integer 0..1024 (0 = hardware concurrency)");
+      if (!v) return 1;
+      threads = static_cast<int>(*v);
     } else if (a == "--no-reload") {
       reload_enabled = false;
     } else if (a == "--listen" && i + 1 < argc) {
       listen_text = argv[++i];
     } else if (a == "--max-conns" && i + 1 < argc) {
-      const long v = std::atol(argv[++i]);
-      if (v < 1) {
-        std::fprintf(stderr, "error: --max-conns must be >= 1\n");
-        return 1;
-      }
-      listen_opt.max_conns = static_cast<std::size_t>(v);
+      const auto v = apps::parse_flag("--max-conns", argv[++i], 1L, kLongMax,
+                                      "a positive integer");
+      if (!v) return 1;
+      listen_opt.max_conns = static_cast<std::size_t>(*v);
     } else if (a == "--idle-timeout" && i + 1 < argc) {
-      listen_opt.idle_timeout_s = std::atol(argv[++i]);
-      if (listen_opt.idle_timeout_s < 1) {
-        std::fprintf(stderr, "error: --idle-timeout must be >= 1 second\n");
-        return 1;
-      }
+      const auto v = apps::parse_flag("--idle-timeout", argv[++i], 1L, kLongMax,
+                                      "a positive number of seconds");
+      if (!v) return 1;
+      listen_opt.idle_timeout_s = *v;
     } else if (a == "--bulk") {
       listen_opt.bulk = true;
     } else if (a == "--no-bulk") {
       listen_opt.bulk = false;
     } else if (a == "--rate-limit" && i + 1 < argc) {
-      listen_opt.rate_limit = std::atof(argv[++i]);
-      if (listen_opt.rate_limit <= 0) {
-        std::fprintf(stderr, "error: --rate-limit must be > 0\n");
-        return 1;
-      }
+      const auto v = apps::parse_flag("--rate-limit", argv[++i], kRateMin, kRateMax,
+                                      "a rate > 0 requests/sec");
+      if (!v) return 1;
+      listen_opt.rate_limit = *v;
     } else if (a == "--rate-burst" && i + 1 < argc) {
-      listen_opt.rate_burst = std::atof(argv[++i]);
-      if (listen_opt.rate_burst < 1) {
-        std::fprintf(stderr, "error: --rate-burst must be >= 1\n");
-        return 1;
-      }
+      const auto v = apps::parse_flag("--rate-burst", argv[++i], 1.0, kRateMax,
+                                      "a burst >= 1");
+      if (!v) return 1;
+      listen_opt.rate_burst = *v;
     } else if (a == "--rate-limit-source" && i + 1 < argc) {
-      listen_opt.rate_limit_source = std::atof(argv[++i]);
-      if (listen_opt.rate_limit_source <= 0) {
-        std::fprintf(stderr, "error: --rate-limit-source must be > 0\n");
-        return 1;
-      }
+      const auto v = apps::parse_flag("--rate-limit-source", argv[++i], kRateMin,
+                                      kRateMax, "a rate > 0 requests/sec");
+      if (!v) return 1;
+      listen_opt.rate_limit_source = *v;
     } else if (a == "--rate-burst-source" && i + 1 < argc) {
-      listen_opt.rate_burst_source = std::atof(argv[++i]);
-      if (listen_opt.rate_burst_source < 1) {
-        std::fprintf(stderr, "error: --rate-burst-source must be >= 1\n");
-        return 1;
-      }
+      const auto v = apps::parse_flag("--rate-burst-source", argv[++i], 1.0, kRateMax,
+                                      "a burst >= 1");
+      if (!v) return 1;
+      listen_opt.rate_burst_source = *v;
     } else if (a == "--rate-limit-source-max" && i + 1 < argc) {
-      const long v = std::atol(argv[++i]);
-      if (v < 0) {
-        std::fprintf(stderr,
-                     "error: --rate-limit-source-max must be >= 0 "
-                     "(0 = unbounded)\n");
-        return 1;
-      }
-      listen_opt.rate_source_max = static_cast<std::size_t>(v);
+      const auto v = apps::parse_flag("--rate-limit-source-max", argv[++i], 0L, kLongMax,
+                                      "a source count >= 0 (0 = unbounded)");
+      if (!v) return 1;
+      listen_opt.rate_source_max = static_cast<std::size_t>(*v);
     } else {
       usage(argv[0]);
       return 1;

@@ -1,8 +1,8 @@
 // bench_perf — engineering microbenchmarks (google-benchmark).
 //
 // Not a paper figure: timings for the hot paths so regressions in the
-// substrate (trie lookups, graph construction, refinement sweeps, the
-// full pipeline) are visible.
+// substrate (IP-to-AS lookups, graph construction, refinement sweeps,
+// the full pipeline) are visible.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,6 @@
 
 #include "bench_util.hpp"
 #include "core/annotator.hpp"
-#include "radix/radix_trie.hpp"
 #include "tracedata/scamper_json.hpp"
 
 namespace {
@@ -22,23 +21,6 @@ const eval::Scenario& shared_scenario() {
   }();
   return s;
 }
-
-void BM_TrieLookup(benchmark::State& state) {
-  radix::RadixTrie<int> trie;
-  netbase::SplitMix64 rng(7);
-  for (int i = 0; i < 100000; ++i) {
-    const auto addr = netbase::IPAddr::v4(static_cast<std::uint32_t>(rng()));
-    trie.insert(netbase::Prefix(addr, 8 + static_cast<int>(rng.below(17))), i);
-  }
-  std::vector<netbase::IPAddr> probes;
-  for (int i = 0; i < 1024; ++i)
-    probes.push_back(netbase::IPAddr::v4(static_cast<std::uint32_t>(rng())));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trie.lookup_value(probes[i++ & 1023]));
-  }
-}
-BENCHMARK(BM_TrieLookup);
 
 void BM_Ip2ASLookup(benchmark::State& state) {
   const auto& s = shared_scenario();

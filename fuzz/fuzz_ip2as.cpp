@@ -1,8 +1,10 @@
 // Fuzz target: the ip2as text readers — RIB table lines, RIR extended
 // delegation lines, IXP prefix lists, and the address/prefix parsers
-// underneath them. Whatever survives parsing is fed to Ip2AS::build so
-// the radix construction and longest-prefix lookup run over adversarial
-// route sets too.
+// underneath them. Whatever survives parsing is fed to Ip2AS::build, and
+// every address in the input must resolve exactly as the brute-force
+// §4.1 oracle (tests/ip2as_oracle.hpp) resolves it over the same parsed
+// routes, so the prefix-table construction and lookup are checked over
+// adversarial route sets too.
 
 #include <cstddef>
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include "bgp/delegations.hpp"
 #include "bgp/ip2as.hpp"
 #include "bgp/rib.hpp"
+#include "ip2as_oracle.hpp"
 #include "netbase/ip_addr.hpp"
 #include "netbase/prefix.hpp"
 
@@ -40,13 +43,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const auto ixp = bgp::Ip2AS::read_ixp_prefixes(ixp_in);
 
   const bgp::Ip2AS ip2as = bgp::Ip2AS::build(rib, delegations, ixp);
-  // Exercise lookups with addresses derived from the input itself.
+  const testutil::Ip2ASOracle oracle(rib, delegations, ixp);
+  // Look up the addresses the input itself spells out.
   std::istringstream again(input);
   n = 0;
   while (std::getline(again, line) && ++n <= 4096) {
     if (auto a = netbase::IPAddr::parse(line)) {
-      const auto origin = ip2as.lookup(*a);
-      (void)origin;
+      if (!testutil::same_origin(ip2as.lookup(*a), oracle.lookup(*a))) __builtin_trap();
     }
   }
   return 0;

@@ -1,8 +1,11 @@
 #include "bgp/ip2as.hpp"
 
 #include <algorithm>
+#include <bitset>
 #include <istream>
 #include <string>
+#include <unordered_set>
+#include <utility>
 
 namespace bgp {
 
@@ -22,41 +25,48 @@ std::vector<netbase::Prefix> Ip2AS::read_ixp_prefixes(std::istream& in) {
 Ip2AS Ip2AS::build(const Rib& rib, const std::vector<Delegation>& delegations,
                    const std::vector<netbase::Prefix>& ixp_prefixes) {
   Ip2AS map;
+  std::vector<std::pair<netbase::Prefix, Entry>> entries;
 
-  for (const auto& [prefix, origins] : rib.origins()) {
+  const auto& announced = rib.origins();
+  std::bitset<129> lengths[2];  // announced prefix lengths, v4 and v6
+  for (const auto& [prefix, origins] : announced) {
     if (origins.empty()) continue;
     const netbase::Asn asn = *std::min_element(origins.begin(), origins.end());
-    map.trie_.insert(prefix, Entry{asn, OriginKind::bgp});
-    ++map.bgp_count_;
+    entries.emplace_back(prefix, Entry{asn, OriginKind::bgp});
+    lengths[prefix.addr().is_v6()].set(static_cast<std::size_t>(prefix.length()));
   }
+  map.bgp_count_ = entries.size();
 
+  // A delegation is stale when a BGP prefix of the same or a shorter
+  // length covers it; of the rest, the first delegation of a prefix wins.
+  std::unordered_set<netbase::Prefix> kept;
   for (const auto& d : delegations) {
-    // Skip delegations covered by any BGP announcement (shortest-first
-    // scan over prefixes containing the delegation's network address).
+    const auto& announced_lengths = lengths[d.prefix.addr().is_v6()];
     bool covered = false;
-    map.trie_.all_matches(d.prefix.addr(), [&](const netbase::Prefix& p, const Entry& e) {
-      if (e.kind == OriginKind::bgp && p.length() <= d.prefix.length()) covered = true;
-    });
-    if (covered) continue;
-    if (map.trie_.find(d.prefix)) continue;  // keep first delegation for a prefix
-    map.trie_.insert(d.prefix, Entry{d.asn, OriginKind::rir});
-    ++map.rir_count_;
+    for (int len = 0; len <= d.prefix.length() && !covered; ++len) {
+      if (!announced_lengths[static_cast<std::size_t>(len)]) continue;
+      const auto it = announced.find(netbase::Prefix(d.prefix.addr(), len));
+      covered = it != announced.end() && !it->second.empty();
+    }
+    if (covered || !kept.insert(d.prefix).second) continue;
+    entries.emplace_back(d.prefix, Entry{d.asn, OriginKind::rir});
   }
+  map.rir_count_ = kept.size();
+  map.origins_ = netbase::PrefixTable<Entry>(std::move(entries));
 
-  for (const auto& p : ixp_prefixes) {
-    map.ixp_trie_.insert(p, 1);
-    ++map.ixp_count_;
-  }
+  std::vector<std::pair<netbase::Prefix, Entry>> ixp;
+  for (const auto& p : ixp_prefixes) ixp.emplace_back(p, Entry{netbase::kNoAs, OriginKind::ixp});
+  map.ixp_count_ = ixp.size();
+  map.ixp_ = netbase::PrefixTable<Entry>(std::move(ixp));
   return map;
 }
 
 Origin Ip2AS::lookup(const netbase::IPAddr& a) const noexcept {
   if (a.is_private()) return Origin{netbase::kNoAs, OriginKind::private_addr, {}};
-  if (auto hit = ixp_trie_.lookup(a))
-    return Origin{netbase::kNoAs, OriginKind::ixp, hit->first};
-  if (auto hit = trie_.lookup(a))
-    return Origin{hit->second->asn, hit->second->kind, hit->first};
-  return Origin{};
+  const auto* hit = ixp_.lookup(a);
+  if (!hit) hit = origins_.lookup(a);
+  if (!hit) return Origin{};
+  return Origin{hit->value.asn, hit->value.kind, hit->prefix};
 }
 
 }  // namespace bgp

@@ -18,7 +18,7 @@
 #include "netbase/asn.hpp"
 #include "netbase/ip_addr.hpp"
 #include "netbase/prefix.hpp"
-#include "radix/radix_trie.hpp"
+#include "netbase/prefix_table.hpp"
 
 namespace bgp {
 
@@ -72,8 +72,8 @@ class Ip2AS {
     OriginKind kind = OriginKind::none;
   };
 
-  radix::RadixTrie<Entry> trie_;
-  radix::RadixTrie<char> ixp_trie_;
+  netbase::PrefixTable<Entry> ixp_;      ///< IXP prefixes, consulted first
+  netbase::PrefixTable<Entry> origins_;  ///< BGP and surviving RIR prefixes
   std::size_t bgp_count_ = 0;
   std::size_t rir_count_ = 0;
   std::size_t ixp_count_ = 0;

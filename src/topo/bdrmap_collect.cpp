@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "netbase/prefix_table.hpp"
 
 namespace topo {
 
@@ -14,23 +18,24 @@ BdrmapCollection bdrmap_collect(const Internet& net, int as_idx,
 
   // Origin lookup for "did we end inside the target AS?" decisions: the
   // collector only has the public BGP view, i.e. the block owner.
-  radix::RadixTrie<netbase::Asn> origin_of;
+  std::vector<std::pair<netbase::Prefix, netbase::Asn>> blocks;
   for (const auto& as : net.ases()) {
-    if (as.announced) origin_of.insert(as.block, as.asn);
+    if (as.announced) blocks.emplace_back(as.block, as.asn);
     if (as.has_infra_block && as.infra_block_delegated)
-      origin_of.insert(as.infra_block, as.asn);
+      blocks.emplace_back(as.infra_block, as.asn);
   }
+  const netbase::PrefixTable<netbase::Asn> origin_of(std::move(blocks));
 
   for (const auto& target : net.ases()) {
     if (!target.announced) continue;
     auto t = tracer.trace(out.vp, net.host_addr(target.idx, target.asn), opt.seed);
     bool suspicious = t.hops.empty();
     if (!t.hops.empty()) {
-      const netbase::Asn* last = origin_of.lookup_value(t.hops.back().addr);
+      const auto* last = origin_of.lookup(t.hops.back().addr);
       // Off-path suspicion: the trace ended on an address not mapped to
       // the probed network (paper: "a prior traceroute might have found
       // an off-path interface within the target AS").
-      suspicious = last == nullptr || *last != target.asn;
+      suspicious = last == nullptr || last->value != target.asn;
     }
     const bool had_hops = !t.hops.empty();
     if (had_hops) out.traces.push_back(std::move(t));

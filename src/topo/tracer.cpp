@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <utility>
 
 namespace topo {
 namespace {
@@ -19,13 +20,15 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 }  // namespace
 
 Tracer::Tracer(const Internet& net) : net_(net) {
+  std::vector<std::pair<netbase::Prefix, int>> blocks;
   for (const auto& as : net.ases()) {
-    if (as.announced) block_to_as_.insert(as.block, as.idx);
+    if (as.announced) blocks.emplace_back(as.block, as.idx);
     // Infra blocks route to their holder too (their addresses can be
     // probed directly as echo destinations).
-    if (as.has_infra_block) block_to_as_.insert(as.infra_block, as.idx);
-    if (net.params().dual_stack) block_to_as_.insert(as.block6, as.idx);
+    if (as.has_infra_block) blocks.emplace_back(as.infra_block, as.idx);
+    if (net.params().dual_stack) blocks.emplace_back(as.block6, as.idx);
   }
+  block_to_as_ = netbase::PrefixTable<int>(std::move(blocks));
 }
 
 std::vector<VantagePoint> Tracer::make_vps(const Internet& net, std::size_t count,
@@ -78,9 +81,9 @@ bool Tracer::resolve_dst(const netbase::IPAddr& dst, int& dst_as, int& final_rou
     // true owner of the interface is correct either way.
     return true;
   }
-  const int* as_hit = block_to_as_.lookup_value(dst);
+  const auto* as_hit = block_to_as_.lookup(dst);
   if (!as_hit) return false;
-  dst_as = *as_hit;
+  dst_as = as_hit->value;
   final_router = net_.host_router(dst_as, dst);
   return true;
 }

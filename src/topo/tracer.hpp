@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "netbase/ip_addr.hpp"
-#include "radix/radix_trie.hpp"
+#include "netbase/prefix_table.hpp"
 #include "topo/internet.hpp"
 #include "tracedata/traceroute.hpp"
 
@@ -74,7 +74,7 @@ class Tracer {
   int egress_iface_toward_as(int router, int target_as) const;
 
   const Internet& net_;
-  radix::RadixTrie<int> block_to_as_;  ///< announced block -> as idx
+  netbase::PrefixTable<int> block_to_as_;  ///< announced block -> as idx
 };
 
 }  // namespace topo

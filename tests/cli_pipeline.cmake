@@ -267,6 +267,54 @@ foreach(bad 0 -2 four "")
   endif()
 endforeach()
 
+# Numeric serve flags take whole numbers only: a value strtol/strtod
+# cannot consume entirely must exit 1 before the snapshot is served.
+foreach(flag --threads --max-conns --idle-timeout --rate-limit --rate-burst
+             --rate-limit-source --rate-burst-source --rate-limit-source-max)
+  foreach(bad "abc" "5x" "")
+    execute_process(COMMAND ${SERVE} --snapshot ${OUT}/map.snap --quiet
+                    ${flag} "${bad}"
+                    INPUT_FILE ${OUT}/queries.txt
+                    OUTPUT_FILE ${OUT}/badflag.out
+                    ERROR_FILE ${OUT}/badflag.err
+                    RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 1)
+      message(FATAL_ERROR "bdrmapit_serve exit ${rc} (want 1) for ${flag} '${bad}'")
+    endif()
+    file(SIZE ${OUT}/badflag.out reply_bytes)
+    file(READ ${OUT}/badflag.err err_text)
+    if(NOT reply_bytes EQUAL 0 OR NOT err_text MATCHES "${flag} expects")
+      message(FATAL_ERROR "no clean rejection of ${flag} '${bad}': ${err_text}")
+    endif()
+  endforeach()
+endforeach()
+
+# Every output the CLI writes is checked: a full device or a missing
+# directory is exit 1 with a diagnostic, never a silent success.
+# Each leg is "FLAG|PATH"; a later --output overrides the valid one.
+set(unwritable "--output|${OUT}/no_such_dir/annotations.tsv"
+               "--as-links|${OUT}/no_such_dir/aslinks.tsv"
+               "--itdk|${OUT}/no_such_dir/itdk")
+if(EXISTS /dev/full)
+  list(APPEND unwritable "--output|/dev/full" "--as-links|/dev/full")
+endif()
+foreach(leg IN LISTS unwritable)
+  string(REPLACE "|" ";" leg_args "${leg}")
+  execute_process(COMMAND ${CLI}
+                  --traces ${OUT}/data/traces.txt
+                  --rib ${OUT}/data/rib.txt
+                  --rels ${OUT}/data/rels.txt
+                  --output ${OUT}/annotations_unwritable.tsv
+                  ${leg_args}
+                  OUTPUT_QUIET
+                  ERROR_FILE ${OUT}/unwritable.err
+                  RESULT_VARIABLE rc)
+  file(READ ${OUT}/unwritable.err err_text)
+  if(NOT rc EQUAL 1 OR NOT err_text MATCHES "error: cannot write")
+    message(FATAL_ERROR "bdrmapit_cli exit ${rc} (want 1) writing ${leg}: ${err_text}")
+  endif()
+endforeach()
+
 # An ablation switch must also run cleanly.
 run(${CLI}
     --traces ${OUT}/data/traces.txt
