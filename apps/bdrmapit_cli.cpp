@@ -45,10 +45,11 @@
 #include "audit/invariants.hpp"
 #include "core/bdrmapit.hpp"
 #include "core/itdk.hpp"
+#include "serve/protocol.hpp"
 #include "serve/snapshot.hpp"
 #include "tracedata/scamper_json.hpp"
 
-#include "flags.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -63,28 +64,6 @@ void usage(const char* argv0) {
                "          [--no-exceptions] [--no-hidden-as] "
                "[--no-link-class-filter]\n",
                argv0);
-}
-
-std::ifstream open_or_die(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  return in;
-}
-
-// Writes `path` through `fill`. False, after one diagnostic, unless
-// every byte reached the file: open, each write and the closing flush
-// are all checked.
-template <typename Fill>
-bool write_file(const std::string& path, Fill&& fill) {
-  std::ofstream out(path);
-  fill(out);
-  out.close();
-  if (out) return true;
-  std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-  return false;
 }
 
 }  // namespace
@@ -134,42 +113,38 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (args.contains("max-iterations")) {
-    const auto n = apps::parse_flag("--max-iterations", args["max-iterations"], 0L,
-                                    1000000L, "a non-negative integer");
-    if (!n) return 1;
-    opt.max_iterations = static_cast<int>(*n);
-  }
+  if (args.contains("max-iterations") &&
+      !apps::parse_flag("--max-iterations", args["max-iterations"], 0L, 1000000L,
+                        "a non-negative integer", opt.max_iterations))
+    return 1;
   opt.threads = 0;  // CLI default: hardware concurrency
-  if (args.contains("threads")) {
-    const auto n = apps::parse_flag("--threads", args["threads"], 1L, 1024L,
-                                    "a positive integer (1..1024)");
-    if (!n) return 1;
-    opt.threads = static_cast<int>(*n);
-  }
+  if (args.contains("threads") &&
+      !apps::parse_flag("--threads", args["threads"], 1L, 1024L,
+                        "a positive integer (1..1024)", opt.threads))
+    return 1;
 
   // ---- load inputs ----------------------------------------------------
   bgp::Rib rib;
   {
-    auto in = open_or_die(args["rib"]);
+    auto in = apps::open_or_die(args["rib"]);
     const std::size_t bad = rib.read(in);
     if (bad) std::fprintf(stderr, "warning: %zu malformed RIB lines\n", bad);
   }
   std::vector<bgp::Delegation> delegations;
   if (args.contains("delegations")) {
-    auto in = open_or_die(args["delegations"]);
+    auto in = apps::open_or_die(args["delegations"]);
     delegations = bgp::read_delegations(in);
   }
   std::vector<netbase::Prefix> ixp;
   if (args.contains("ixp")) {
-    auto in = open_or_die(args["ixp"]);
+    auto in = apps::open_or_die(args["ixp"]);
     ixp = bgp::Ip2AS::read_ixp_prefixes(in);
   }
   const bgp::Ip2AS ip2as = bgp::Ip2AS::build(rib, delegations, ixp);
 
   asrel::RelStore rels;
   {
-    auto in = open_or_die(args["rels"]);
+    auto in = apps::open_or_die(args["rels"]);
     const std::size_t bad = asrel::load_serial1(in, rels);
     if (bad) std::fprintf(stderr, "warning: %zu malformed rel lines\n", bad);
     rels.finalize();
@@ -177,7 +152,7 @@ int main(int argc, char** argv) {
 
   std::vector<tracedata::Traceroute> corpus;
   {
-    auto in = open_or_die(args["traces"]);
+    auto in = apps::open_or_die(args["traces"]);
     // Auto-detect the corpus format: scamper-style jsonl starts with
     // '{'; the native format with 'T|'.
     std::string first;
@@ -198,7 +173,7 @@ int main(int argc, char** argv) {
   }
   tracedata::AliasSets aliases;
   if (args.contains("aliases")) {
-    auto in = open_or_die(args["aliases"]);
+    auto in = apps::open_or_die(args["aliases"]);
     aliases = tracedata::AliasSets::read(in);
   }
 
@@ -218,20 +193,12 @@ int main(int argc, char** argv) {
 
   // ---- write outputs ------------------------------------------------------
   const auto write_tsv = [&](std::ostream& out) {
-    out << "# addr\trouter_as\tconn_as\tflags\n";
-    // Deterministic order: sort addresses.
-    std::vector<netbase::IPAddr> addrs;
-    addrs.reserve(result.interfaces.size());
-    for (const auto& [addr, inf] : result.interfaces) addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
-    for (const auto& addr : addrs) {
-      const auto& inf = result.interfaces.at(addr);
-      out << addr.to_string() << '\t' << inf.router_as << '\t' << inf.conn_as
-          << '\t' << inf.flags() << '\n';
-    }
+    std::string rows = "# addr\trouter_as\tconn_as\tflags\n";
+    for (const auto& rec : result.interfaces) serve::append_iface(rows, rec);
+    out << rows;
   };
   if (args.contains("output")) {
-    if (!write_file(args["output"], write_tsv)) return 1;
+    if (!apps::write_file(args["output"], write_tsv)) return 1;
   } else {
     write_tsv(std::cout);
     if (!std::cout.flush()) {
@@ -240,7 +207,7 @@ int main(int argc, char** argv) {
     }
   }
   if (args.contains("as-links") &&
-      !write_file(args["as-links"], [&](std::ostream& out) {
+      !apps::write_file(args["as-links"], [&](std::ostream& out) {
         out << "# as_a\tas_b\n";
         for (const auto& [a, b] : result.as_links()) out << a << '\t' << b << '\n';
       }))
@@ -258,10 +225,10 @@ int main(int argc, char** argv) {
   }
   if (args.contains("itdk")) {
     const auto nodes = core::itdk_nodes(result);
-    if (!write_file(args["itdk"] + ".nodes",
-                    [&](std::ostream& out) { core::write_itdk_nodes(out, nodes); }) ||
-        !write_file(args["itdk"] + ".nodes.as",
-                    [&](std::ostream& out) { core::write_itdk_nodes_as(out, nodes); }))
+    if (!apps::write_file(args["itdk"] + ".nodes",
+                          [&](std::ostream& out) { core::write_itdk_nodes(out, nodes); }) ||
+        !apps::write_file(args["itdk"] + ".nodes.as",
+                          [&](std::ostream& out) { core::write_itdk_nodes_as(out, nodes); }))
       return 1;
   }
   if (run_audit) {

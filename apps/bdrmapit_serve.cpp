@@ -36,7 +36,7 @@
 //
 // `--threads N` is the one concurrency knob: it shards the audit scans
 // and sizes the TCP event loops (0 picks hardware concurrency). Numeric
-// flags take whole numbers only (apps/flags.hpp): "abc", "5x" or an
+// flags take whole numbers only (apps/cli.hpp): "abc", "5x" or an
 // empty value is a usage error, exit 1.
 //
 // The TCP transport also speaks the binary BULK lookup protocol
@@ -80,7 +80,7 @@
 #include "serve/protocol.hpp"
 #include "serve/store.hpp"
 
-#include "flags.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -539,54 +539,45 @@ int main(int argc, char** argv) {
     } else if (a == "--quiet") {
       quiet = true;
     } else if (a == "--threads" && i + 1 < argc) {
-      const auto v = apps::parse_flag(
-          "--threads", argv[++i], 0L, 1024L,
-          "an integer 0..1024 (0 = hardware concurrency)");
-      if (!v) return 1;
-      threads = static_cast<int>(*v);
+      if (!apps::parse_flag("--threads", argv[++i], 0L, 1024L,
+                            "an integer 0..1024 (0 = hardware concurrency)", threads))
+        return 1;
     } else if (a == "--no-reload") {
       reload_enabled = false;
     } else if (a == "--listen" && i + 1 < argc) {
       listen_text = argv[++i];
     } else if (a == "--max-conns" && i + 1 < argc) {
-      const auto v = apps::parse_flag("--max-conns", argv[++i], 1L, kLongMax,
-                                      "a positive integer");
-      if (!v) return 1;
-      listen_opt.max_conns = static_cast<std::size_t>(*v);
+      if (!apps::parse_flag("--max-conns", argv[++i], 1L, kLongMax,
+                            "a positive integer", listen_opt.max_conns))
+        return 1;
     } else if (a == "--idle-timeout" && i + 1 < argc) {
-      const auto v = apps::parse_flag("--idle-timeout", argv[++i], 1L, kLongMax,
-                                      "a positive number of seconds");
-      if (!v) return 1;
-      listen_opt.idle_timeout_s = *v;
+      if (!apps::parse_flag("--idle-timeout", argv[++i], 1L, kLongMax,
+                            "a positive number of seconds", listen_opt.idle_timeout_s))
+        return 1;
     } else if (a == "--bulk") {
       listen_opt.bulk = true;
     } else if (a == "--no-bulk") {
       listen_opt.bulk = false;
     } else if (a == "--rate-limit" && i + 1 < argc) {
-      const auto v = apps::parse_flag("--rate-limit", argv[++i], kRateMin, kRateMax,
-                                      "a rate > 0 requests/sec");
-      if (!v) return 1;
-      listen_opt.rate_limit = *v;
+      if (!apps::parse_flag("--rate-limit", argv[++i], kRateMin, kRateMax,
+                            "a rate > 0 requests/sec", listen_opt.rate_limit))
+        return 1;
     } else if (a == "--rate-burst" && i + 1 < argc) {
-      const auto v = apps::parse_flag("--rate-burst", argv[++i], 1.0, kRateMax,
-                                      "a burst >= 1");
-      if (!v) return 1;
-      listen_opt.rate_burst = *v;
+      if (!apps::parse_flag("--rate-burst", argv[++i], 1.0, kRateMax,
+                            "a burst >= 1", listen_opt.rate_burst))
+        return 1;
     } else if (a == "--rate-limit-source" && i + 1 < argc) {
-      const auto v = apps::parse_flag("--rate-limit-source", argv[++i], kRateMin,
-                                      kRateMax, "a rate > 0 requests/sec");
-      if (!v) return 1;
-      listen_opt.rate_limit_source = *v;
+      if (!apps::parse_flag("--rate-limit-source", argv[++i], kRateMin, kRateMax,
+                            "a rate > 0 requests/sec", listen_opt.rate_limit_source))
+        return 1;
     } else if (a == "--rate-burst-source" && i + 1 < argc) {
-      const auto v = apps::parse_flag("--rate-burst-source", argv[++i], 1.0, kRateMax,
-                                      "a burst >= 1");
-      if (!v) return 1;
-      listen_opt.rate_burst_source = *v;
+      if (!apps::parse_flag("--rate-burst-source", argv[++i], 1.0, kRateMax,
+                            "a burst >= 1", listen_opt.rate_burst_source))
+        return 1;
     } else if (a == "--rate-limit-source-max" && i + 1 < argc) {
-      const auto v = apps::parse_flag("--rate-limit-source-max", argv[++i], 0L, kLongMax,
-                                      "a source count >= 0 (0 = unbounded)");
-      if (!v) return 1;
-      listen_opt.rate_source_max = static_cast<std::size_t>(*v);
+      if (!apps::parse_flag("--rate-limit-source-max", argv[++i], 0L, kLongMax,
+                            "a source count >= 0 (0 = unbounded)", listen_opt.rate_source_max))
+        return 1;
     } else {
       usage(argv[0]);
       return 1;

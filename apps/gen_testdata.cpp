@@ -22,17 +22,21 @@
 //                --tamper-mode unsorted|router-range|aslink
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <map>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "asrel/serial1.hpp"
 #include "eval/experiment.hpp"
 #include "serve/snapshot.hpp"
+
+#include "cli.hpp"
 
 namespace {
 
@@ -86,8 +90,8 @@ int run_tamper(std::map<std::string, std::string>& args) {
 
 int main(int argc, char** argv) {
   std::map<std::string, std::string> args;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (argv[i][0] != '-' || argv[i][1] != '-') {
+  for (int i = 1; i < argc; i += 2) {
+    if (argv[i][0] != '-' || argv[i][1] != '-' || i + 1 == argc) {
       std::fprintf(stderr, "usage: %s --out DIR [--vps N] [--seed S] "
                            "[--scale small|default]\n", argv[0]);
       return 1;
@@ -107,17 +111,31 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --out DIR is required\n");
     return 1;
   }
-  const std::size_t vps = args.contains("vps")
-                              ? static_cast<std::size_t>(std::stoul(args["vps"]))
-                              : 40;
-  const std::uint64_t seed =
-      args.contains("seed") ? std::stoull(args["seed"]) : 20181031;
-  topo::SimParams params =
-      args["scale"] == "small" ? topo::small_params() : topo::SimParams{};
+  std::size_t vps = 40;
+  if (args.contains("vps") && !apps::parse_flag("--vps", args["vps"], 1L, 100000L,
+                                                "a positive integer (1..100000)", vps))
+    return 1;
+  std::uint64_t seed = 20181031;
+  if (args.contains("seed") && !apps::parse_flag("--seed", args["seed"], 0L, LONG_MAX,
+                                                 "a non-negative integer", seed))
+    return 1;
+  const std::string scale = args.contains("scale") ? args["scale"] : "default";
+  if (scale != "small" && scale != "default") {
+    std::fprintf(stderr, "error: --scale expects small or default, got '%s'\n",
+                 scale.c_str());
+    return 1;
+  }
+  topo::SimParams params = scale == "small" ? topo::small_params() : topo::SimParams{};
   params.seed = seed;
 
   const std::filesystem::path dir(args["out"]);
-  std::filesystem::create_directories(dir);
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "error: cannot create %s: %s\n", dir.c_str(),
+                 ec.message().c_str());
+    return 1;
+  }
 
   std::fprintf(stderr, "generating internet (%zu ASes, seed %llu)...\n",
                params.tier1 + params.transit + params.regional + params.stub,
@@ -125,55 +143,45 @@ int main(int argc, char** argv) {
   eval::Scenario s =
       eval::make_scenario(params, vps, /*exclude_validation=*/true, seed);
 
-  {
-    std::ofstream out(dir / "traces.txt");
-    tracedata::write_traceroutes(out, s.corpus);
-  }
-  {
-    std::ofstream out(dir / "rib.txt");
-    s.net.rib().write(out);
-  }
-  {
-    std::ofstream out(dir / "delegations.txt");
-    bgp::write_delegations(out, s.net.delegations());
-  }
-  {
-    std::ofstream out(dir / "ixp.txt");
-    out << "# IXP prefixes\n";
-    for (const auto& p : s.net.ixp_prefixes()) out << p.to_string() << '\n';
-  }
-  {
-    std::ofstream out(dir / "rels.txt");
-    asrel::write_serial1(out, s.net.relationships());
-  }
-  {
-    std::ofstream out(dir / "aliases.nodes");
-    eval::midar_aliases(s).write(out);
-  }
-  {
-    std::ofstream out(dir / "ground_truth.tsv");
-    out << "# addr\towner_as\tother_as(es)\n";
-    for (std::size_t fid = 0; fid < s.net.ifaces().size(); ++fid) {
-      const auto& f = s.net.ifaces()[fid];
-      out << f.addr.to_string() << '\t' << s.net.owner_of_router(f.router) << '\t';
-      const auto* t = s.gt.truth(f.addr);
-      if (!t || t->others.empty()) {
-        out << '-';
-      } else {
-        for (std::size_t i = 0; i < t->others.size(); ++i) {
-          if (i) out << ',';
-          out << t->others[i];
-        }
-      }
-      out << '\n';
-    }
-  }
-  {
-    std::ofstream out(dir / "networks.txt");
-    out << "# validation networks\n";
-    for (const auto& [label, asn] : eval::validation_networks(s.net))
-      out << label << '\t' << asn << '\n';
-  }
+  using Fill = std::function<void(std::ostream&)>;
+  const std::pair<const char*, Fill> files[] = {
+      {"traces.txt", [&](std::ostream& out) { tracedata::write_traceroutes(out, s.corpus); }},
+      {"rib.txt", [&](std::ostream& out) { s.net.rib().write(out); }},
+      {"delegations.txt",
+       [&](std::ostream& out) { bgp::write_delegations(out, s.net.delegations()); }},
+      {"ixp.txt",
+       [&](std::ostream& out) {
+         out << "# IXP prefixes\n";
+         for (const auto& p : s.net.ixp_prefixes()) out << p.to_string() << '\n';
+       }},
+      {"rels.txt", [&](std::ostream& out) { asrel::write_serial1(out, s.net.relationships()); }},
+      {"aliases.nodes", [&](std::ostream& out) { eval::midar_aliases(s).write(out); }},
+      {"ground_truth.tsv",
+       [&](std::ostream& out) {
+         out << "# addr\towner_as\tother_as(es)\n";
+         for (const auto& f : s.net.ifaces()) {
+           out << f.addr.to_string() << '\t' << s.net.owner_of_router(f.router) << '\t';
+           const auto* t = s.gt.truth(f.addr);
+           if (!t || t->others.empty()) {
+             out << '-';
+           } else {
+             for (std::size_t i = 0; i < t->others.size(); ++i) {
+               if (i) out << ',';
+               out << t->others[i];
+             }
+           }
+           out << '\n';
+         }
+       }},
+      {"networks.txt",
+       [&](std::ostream& out) {
+         out << "# validation networks\n";
+         for (const auto& [label, asn] : eval::validation_networks(s.net))
+           out << label << '\t' << asn << '\n';
+       }},
+  };
+  for (const auto& [name, fill] : files)
+    if (!apps::write_file(dir / name, fill)) return 1;
   std::fprintf(stderr,
                "wrote %zu traceroutes, %zu interfaces of ground truth to %s\n",
                s.corpus.size(), s.net.ifaces().size(), dir.string().c_str());

@@ -10,6 +10,9 @@
 // no origin (ixp/private/none).
 //
 //   ip2as_cli --rib FILE [--delegations FILE] [--ixp FILE] [--addrs FILE]
+//
+// An input that cannot be opened, or an output that cannot be written
+// in full, is exit 1 with one diagnostic.
 
 #include <cstdio>
 #include <fstream>
@@ -18,6 +21,8 @@
 #include <string>
 
 #include "bgp/ip2as.hpp"
+
+#include "cli.hpp"
 
 namespace {
 
@@ -36,9 +41,9 @@ const char* kind_name(bgp::OriginKind k) {
 
 int main(int argc, char** argv) {
   std::map<std::string, std::string> args;
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     const std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) {
+    if (a.rfind("--", 0) != 0 || i + 1 == argc) {
       std::fprintf(stderr,
                    "usage: %s --rib FILE [--delegations FILE] [--ixp FILE] "
                    "[--addrs FILE]\n",
@@ -54,21 +59,17 @@ int main(int argc, char** argv) {
 
   bgp::Rib rib;
   {
-    std::ifstream in(args["rib"]);
-    if (!in) {
-      std::fprintf(stderr, "error: cannot open %s\n", args["rib"].c_str());
-      return 1;
-    }
+    auto in = apps::open_or_die(args["rib"]);
     rib.read(in);
   }
   std::vector<bgp::Delegation> delegations;
   if (args.contains("delegations")) {
-    std::ifstream in(args["delegations"]);
+    auto in = apps::open_or_die(args["delegations"]);
     delegations = bgp::read_delegations(in);
   }
   std::vector<netbase::Prefix> ixp;
   if (args.contains("ixp")) {
-    std::ifstream in(args["ixp"]);
+    auto in = apps::open_or_die(args["ixp"]);
     ixp = bgp::Ip2AS::read_ixp_prefixes(in);
   }
   const bgp::Ip2AS map = bgp::Ip2AS::build(rib, delegations, ixp);
@@ -78,11 +79,7 @@ int main(int argc, char** argv) {
   std::ifstream addr_file;
   std::istream* in = &std::cin;
   if (args.contains("addrs")) {
-    addr_file.open(args["addrs"]);
-    if (!addr_file) {
-      std::fprintf(stderr, "error: cannot open %s\n", args["addrs"].c_str());
-      return 1;
-    }
+    addr_file = apps::open_or_die(args["addrs"]);
     in = &addr_file;
   }
 
@@ -102,6 +99,10 @@ int main(int argc, char** argv) {
     std::printf("%s\t%u\t%s\t%s\n", addr->to_string().c_str(), o.asn, kind_name(o.kind),
                 o.kind == bgp::OriginKind::none ? "-" : o.prefix.to_string().c_str());
     ++resolved;
+  }
+  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+    std::fprintf(stderr, "error: cannot write standard output\n");
+    return 1;
   }
   std::fprintf(stderr, "resolved %zu addresses (%zu malformed lines)\n", resolved,
                malformed);

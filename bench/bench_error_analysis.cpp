@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "core/annotator.hpp"
 #include "eval/error_analysis.hpp"
 
 int main() {
@@ -20,30 +19,17 @@ int main() {
     eval::Scenario s = eval::make_scenario(params, ds.vps, true, ds.seed);
     const auto aliases = eval::midar_aliases(s);
 
-    // Run with direct access to the annotator for iteration stats.
-    graph::Graph g = graph::Graph::build(s.corpus, aliases, s.ip2as, s.rels);
-    core::Annotator ann(g, s.rels);
-    ann.run();
-    std::unordered_map<netbase::IPAddr, core::IfaceInference> inf;
-    for (const auto& f : g.interfaces()) {
-      core::IfaceInference i;
-      i.router_as = g.irs()[static_cast<std::size_t>(f.ir)].annotation;
-      i.conn_as = f.annotation;
-      i.ixp = f.origin.is_ixp();
-      i.seen_non_echo = f.seen_non_echo;
-      i.seen_mid_path = f.seen_mid_path;
-      inf.emplace(f.addr, i);
-    }
+    const core::Result r = core::Bdrmapit::run(s.corpus, aliases, s.ip2as, s.rels);
 
     std::printf("\ndataset %s (%zu observed interfaces):\n", ds.label,
-                inf.size());
-    const auto breakdown = eval::analyze_errors(s.net, s.gt, s.vis, inf);
+                r.interfaces.size());
+    const auto breakdown = eval::analyze_errors(s.net, s.gt, s.vis, r.interfaces);
     breakdown.print(std::cout);
 
     std::printf("convergence: ");
-    for (const auto& it : ann.iteration_stats())
+    for (const auto& it : r.iteration_stats)
       std::printf("(%zu IRs, %zu ifaces) ", it.changed_irs, it.changed_ifaces);
-    std::printf("-> repeated state after %d iterations\n", ann.iterations());
+    std::printf("-> repeated state after %d iterations\n", r.iterations);
   }
   return 0;
 }

@@ -66,9 +66,9 @@ int main() {
               static_cast<double>(size) / 1024.0, 1e3 * write_s, 1e3 * load_s);
 
   // ---- verify the store answers match the result ----------------------
-  for (const auto& [addr, inf] : result.interfaces) {
+  for (const auto& [addr, router_id, inf] : result.interfaces) {
     const auto* rec = store.find(addr);
-    if (!rec || rec->inf.router_as != inf.router_as ||
+    if (!rec || rec->router_id != router_id || rec->inf.router_as != inf.router_as ||
         rec->inf.conn_as != inf.conn_as) {
       std::fprintf(stderr, "round-trip mismatch at %s\n", addr.to_string().c_str());
       return 1;

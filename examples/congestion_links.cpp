@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
   std::printf("%-16s %-10s %-10s %s\n", "interface", "near AS", "far AS", "class");
   for (const auto& t : s.corpus) {
     for (const auto& h : t.hops) {
-      const auto it = r.interfaces.find(h.addr);
-      if (it == r.interfaces.end() || !it->second.interdomain()) continue;
-      const auto& inf = it->second;
+      const core::IfaceRecord* rec = core::find_iface(r.interfaces, h.addr);
+      if (!rec || !rec->inf.interdomain()) continue;
+      const auto& inf = rec->inf;
       const asrel::Rel rel = s.rels.rel(inf.conn_as, inf.router_as);
       const char* cls = rel == asrel::Rel::p2c   ? "transit(down)"
                         : rel == asrel::Rel::c2p ? "transit(up)"
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   std::printf("\nmeasurement targets by class (deduplicated counts follow):\n");
   // Count distinct interfaces per class.
   std::map<std::string, std::size_t> distinct;
-  for (const auto& [addr, inf] : r.interfaces) {
+  for (const auto& [addr, router_id, inf] : r.interfaces) {
     if (!inf.interdomain()) continue;
     const asrel::Rel rel = s.rels.rel(inf.conn_as, inf.router_as);
     const char* cls = rel == asrel::Rel::p2c   ? "transit(down)"

@@ -66,11 +66,11 @@ int main() {
               "interdomain?");
   for (const auto& t : corpus)
     for (const auto& h : t.hops) {
-      const auto it = result.interfaces.find(h.addr);
-      if (it == result.interfaces.end()) continue;
+      const core::IfaceRecord* rec = core::find_iface(result.interfaces, h.addr);
+      if (!rec) continue;
       std::printf("%-16s AS%-10u AS%-10u %s\n", h.addr.to_string().c_str(),
-                  it->second.router_as, it->second.conn_as,
-                  it->second.interdomain() ? "yes" : "");
+                  rec->inf.router_as, rec->inf.conn_as,
+                  rec->inf.interdomain() ? "yes" : "");
     }
 
   std::printf("\ninferred AS-level links:\n");
@@ -79,9 +79,10 @@ int main() {
 
   // The punchline: 203.0.113.9 (an address in AS200's space) sits on
   // AS300's firewalled border router — inferred from destinations only.
-  const auto& edge =
-      result.interfaces.at(netbase::IPAddr::must_parse("203.0.113.9"));
+  const core::IfaceRecord* edge =
+      core::find_iface(result.interfaces, netbase::IPAddr::must_parse("203.0.113.9"));
+  if (!edge) return 1;
   std::printf("\n203.0.113.9 -> router operated by AS%u (expected AS300)\n",
-              edge.router_as);
-  return edge.router_as == 300 ? 0 : 1;
+              edge->inf.router_as);
+  return edge->inf.router_as == 300 ? 0 : 1;
 }

@@ -40,10 +40,9 @@ int main(int argc, char** argv) {
 
   // Neighbor networks at the border, with the interfaces that attach
   // them, according to each tool.
-  auto summarize = [&](const std::unordered_map<netbase::IPAddr,
-                                                core::IfaceInference>& inf) {
+  auto summarize = [&](const std::vector<core::IfaceRecord>& inf) {
     std::map<netbase::Asn, std::size_t> neighbors;
-    for (const auto& [addr, i] : inf) {
+    for (const auto& [addr, router_id, i] : inf) {
       if (!i.interdomain()) continue;
       if (i.router_as == vp_asn)
         ++neighbors[i.conn_as];

@@ -377,29 +377,42 @@ std::vector<Violation> audit_fixed_point(const Graph& g, const asrel::RelStore& 
 
 std::vector<Violation> audit_result(const core::Result& r, int threads) {
   std::vector<Violation> out;
-  if (r.interfaces.size() != r.graph.interfaces().size())
+  const auto& table = r.interfaces;
+  if (table.size() != r.graph.interfaces().size())
     report(out, "result.iface-consistency",
-           "result maps " + std::to_string(r.interfaces.size()) +
+           "result holds " + std::to_string(table.size()) +
                " interfaces but the graph has " +
                std::to_string(r.graph.interfaces().size()));
+  // Element i compares against its predecessor, so a shard's first
+  // element still sees across the shard boundary.
+  append(out, parallel::parallel_collect<Violation>(
+                  table.size(), threads,
+                  [&](std::vector<Violation>& acc, std::size_t i) {
+                    if (i > 0 && !(table[i - 1].addr < table[i].addr))
+                      report(acc, "result.iface-sorted",
+                             "interface records out of order at index " +
+                                 std::to_string(i) + " (" +
+                                 table[i].addr.to_string() + ")");
+                  }));
   const auto& ifaces = r.graph.interfaces();
   append(out, parallel::parallel_collect<Violation>(
                   ifaces.size(), threads,
                   [&](std::vector<Violation>& acc, std::size_t i) {
                     const Interface& f = ifaces[i];
-                    const auto it = r.interfaces.find(f.addr);
-                    if (it == r.interfaces.end()) {
+                    const core::IfaceRecord* rec = core::find_iface(table, f.addr);
+                    if (!rec) {
                       report(acc, "result.iface-consistency",
                              "graph interface " + f.addr.to_string() +
                                  " missing from the result");
                       return;
                     }
-                    const core::IfaceInference& inf = it->second;
+                    const core::IfaceInference& inf = rec->inf;
                     const Asn want_router =
                         in_range(f.ir, r.graph.irs().size())
                             ? r.graph.irs()[static_cast<std::size_t>(f.ir)].annotation
                             : netbase::kNoAs;
-                    if (inf.router_as != want_router || inf.conn_as != f.annotation ||
+                    if (rec->router_id != static_cast<std::uint32_t>(f.ir) ||
+                        inf.router_as != want_router || inf.conn_as != f.annotation ||
                         inf.ixp != f.origin.is_ixp() ||
                         inf.seen_non_echo != f.seen_non_echo ||
                         inf.seen_mid_path != f.seen_mid_path)

@@ -72,8 +72,9 @@ std::vector<Violation> audit_fixed_point(const graph::Graph& g,
                                          const asrel::RelStore& rels,
                                          core::AnnotatorOptions opt);
 
-/// Result-level consistency: the interface map mirrors the graph's
-/// annotations, iteration stats match the iteration count, and
+/// Result-level consistency: the interface table is strictly sorted by
+/// address and mirrors the graph's interfaces and annotations record
+/// for record, iteration stats match the iteration count, and
 /// as_links() is sorted, deduplicated, and normalized (a <= b).
 std::vector<Violation> audit_result(const core::Result& r, int threads = 1);
 

@@ -1,6 +1,7 @@
 #include "baselines/bdrmap.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "graph/graph.hpp"
@@ -26,7 +27,7 @@ Asn min_cone(const asrel::RelStore& rels, const std::vector<Asn>& cands) {
 
 }  // namespace
 
-std::unordered_map<netbase::IPAddr, core::IfaceInference> Bdrmap::run(
+std::vector<core::IfaceRecord> Bdrmap::run(
     const std::vector<tracedata::Traceroute>& corpus,
     const tracedata::AliasSets& aliases, const bgp::Ip2AS& ip2as,
     const asrel::RelStore& rels, netbase::Asn vp_asn) {
@@ -153,7 +154,8 @@ std::unordered_map<netbase::IPAddr, core::IfaceInference> Bdrmap::run(
   // router owner, else the plurality of preceding router owners.
   // Outside bdrmap's first-boundary domain, interfaces keep their
   // origin mapping on both sides (no claim).
-  std::unordered_map<netbase::IPAddr, core::IfaceInference> out;
+  std::vector<core::IfaceRecord> out;
+  out.reserve(g.interfaces().size());
   for (const auto& f : g.interfaces()) {
     core::IfaceInference inf;
     inf.router_as = g.irs()[static_cast<std::size_t>(f.ir)].annotation;
@@ -163,7 +165,7 @@ std::unordered_map<netbase::IPAddr, core::IfaceInference> Bdrmap::run(
     if (!in_domain[static_cast<std::size_t>(f.ir)]) {
       inf.router_as = f.origin.announced() ? f.origin.asn : netbase::kNoAs;
       inf.conn_as = inf.router_as;
-      out.emplace(f.addr, inf);
+      out.push_back({f.addr, static_cast<std::uint32_t>(f.ir), inf});
       continue;
     }
     if (f.origin.announced() && f.origin.asn != inf.router_as && !f.origin.is_ixp()) {
@@ -190,8 +192,9 @@ std::unordered_map<netbase::IPAddr, core::IfaceInference> Bdrmap::run(
         }
       inf.conn_as = best;
     }
-    out.emplace(f.addr, inf);
+    out.push_back({f.addr, static_cast<std::uint32_t>(f.ir), inf});
   }
+  core::sort_by_addr(out);
   return out;
 }
 

@@ -19,7 +19,6 @@
 
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "asrel/relstore.hpp"
@@ -33,9 +32,9 @@ namespace baselines {
 class Bdrmap {
  public:
   /// Runs bdrmap for `vp_asn` over a corpus gathered from a VP inside
-  /// that network. Output format matches core::Bdrmapit for shared
-  /// evaluation.
-  static std::unordered_map<netbase::IPAddr, core::IfaceInference> run(
+  /// that network. Output is core::Bdrmapit's address-sorted table,
+  /// for shared evaluation.
+  static std::vector<core::IfaceRecord> run(
       const std::vector<tracedata::Traceroute>& corpus,
       const tracedata::AliasSets& aliases, const bgp::Ip2AS& ip2as,
       const asrel::RelStore& rels, netbase::Asn vp_asn);

@@ -1,6 +1,7 @@
 #include "baselines/mapit.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace baselines {
@@ -48,7 +49,7 @@ Asn plurality(const std::vector<Node>& nodes,
 
 }  // namespace
 
-std::unordered_map<netbase::IPAddr, core::IfaceInference> MapIt::run(
+std::vector<core::IfaceRecord> MapIt::run(
     const std::vector<tracedata::Traceroute>& corpus, const bgp::Ip2AS& ip2as,
     MapItOptions opt) {
   std::vector<Node> nodes;
@@ -120,17 +121,13 @@ std::unordered_map<netbase::IPAddr, core::IfaceInference> MapIt::run(
     if (!changed) break;
   }
 
-  std::unordered_map<netbase::IPAddr, core::IfaceInference> out;
+  std::vector<core::IfaceRecord> out;
   out.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    core::IfaceInference inf;
-    inf.router_as = nodes[i].owner;
-    inf.conn_as = far[i];
-    inf.ixp = nodes[i].origin.is_ixp();
-    inf.seen_non_echo = nodes[i].seen_non_echo;
-    inf.seen_mid_path = nodes[i].seen_mid_path;
-    out.emplace(nodes[i].addr, inf);
-  }
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    out.push_back({nodes[i].addr, static_cast<std::uint32_t>(i),
+                   {nodes[i].owner, far[i], nodes[i].origin.is_ixp(),
+                    nodes[i].seen_non_echo, nodes[i].seen_mid_path}});
+  core::sort_by_addr(out);
   return out;
 }
 

@@ -17,7 +17,6 @@
 
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/ip2as.hpp"
@@ -34,10 +33,11 @@ struct MapItOptions {
 
 class MapIt {
  public:
-  /// Runs MAP-IT; the result maps every observed interface address to
-  /// the inferred (router AS, connected AS) pair, directly comparable
-  /// with core::Bdrmapit output.
-  static std::unordered_map<netbase::IPAddr, core::IfaceInference> run(
+  /// Runs MAP-IT; the result is an address-sorted table with the
+  /// inferred (router AS, connected AS) pair of every observed interface,
+  /// in core::Bdrmapit's format. MAP-IT resolves no aliases, so each
+  /// interface is its own router.
+  static std::vector<core::IfaceRecord> run(
       const std::vector<tracedata::Traceroute>& corpus, const bgp::Ip2AS& ip2as,
       MapItOptions opt = {});
 };

@@ -22,39 +22,24 @@ Result Bdrmapit::annotate_and_package(graph::Graph graph, const asrel::RelStore&
   r.iteration_stats = ann.iteration_stats();
 
   r.interfaces.reserve(r.graph.interfaces().size());
-  for (const auto& f : r.graph.interfaces()) {
-    IfaceInference inf;
-    inf.router_as = r.graph.irs()[static_cast<std::size_t>(f.ir)].annotation;
-    inf.conn_as = f.annotation;
-    inf.ixp = f.origin.is_ixp();
-    inf.seen_non_echo = f.seen_non_echo;
-    inf.seen_mid_path = f.seen_mid_path;
-    r.interfaces.emplace(f.addr, inf);
-  }
+  for (const auto& f : r.graph.interfaces())
+    r.interfaces.push_back(
+        {f.addr, static_cast<std::uint32_t>(f.ir),
+         {r.graph.irs()[static_cast<std::size_t>(f.ir)].annotation, f.annotation,
+          f.origin.is_ixp(), f.seen_non_echo, f.seen_mid_path}});
+  sort_by_addr(r.interfaces);
   return r;
 }
 
-std::string IfaceInference::flags() const {
-  std::string flags;
-  append_flags(flags);
-  return flags;
-}
-
-void IfaceInference::append_flags(std::string& out) const {
-  char buf[3];
-  std::size_t n = 0;
-  if (interdomain()) buf[n++] = 'B';
-  if (ixp) buf[n++] = 'X';
-  if (!seen_non_echo) buf[n++] = 'E';
-  if (n == 0) buf[n++] = '-';
-  out.append(buf, n);
+void sort_by_addr(std::vector<IfaceRecord>& table) {
+  std::ranges::sort(table, {}, &IfaceRecord::addr);
 }
 
 std::vector<std::pair<netbase::Asn, netbase::Asn>> Result::as_links() const {
   std::vector<std::pair<netbase::Asn, netbase::Asn>> out;
-  for (const auto& [addr, inf] : interfaces) {
-    if (!inf.interdomain()) continue;
-    auto p = std::minmax(inf.router_as, inf.conn_as);
+  for (const IfaceRecord& rec : interfaces) {
+    if (!rec.inf.interdomain()) continue;
+    auto p = std::minmax(rec.inf.router_as, rec.inf.conn_as);
     out.emplace_back(p.first, p.second);
   }
   std::sort(out.begin(), out.end());

@@ -4,17 +4,20 @@
 //   bgp::Ip2AS ip2as = bgp::Ip2AS::build(rib, delegations, ixp_prefixes);
 //   asrel::RelStore rels = ...;              // loaded or inferred
 //   core::Result r = core::Bdrmapit::run(traceroutes, aliases, ip2as, rels);
-//   for (const auto& [addr, inf] : r.interfaces) { ... }
+//   for (const core::IfaceRecord& rec : r.interfaces) { ... }
+//   const core::IfaceRecord* hit = core::find_iface(r.interfaces, addr);
 //
 // The Result exposes, for every observed interface address, the
 // inferred operator of its router and the AS inferred to be on the
 // other side of its link; an interdomain link is inferred wherever the
-// two differ (Fig. 3).
+// two differ (Fig. 3). The records form one address-sorted table: the
+// TSV, the snapshot and every evaluation read it as it is.
 
 #pragma once
 
-#include <string>
-#include <unordered_map>
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "asrel/relstore.hpp"
@@ -40,22 +43,39 @@ struct IfaceInference {
            router_as != conn_as;
   }
 
-  /// Canonical TSV flags column: `B` border, `X` IXP, `E` echo-only,
-  /// `-` when none apply. Shared by bdrmapit_cli and bdrmapit_serve so
-  /// their outputs agree byte for byte.
-  std::string flags() const;
-
-  /// Appends the flags column to `out` without a temporary string —
-  /// the serving layer's hot reply path renders flags through this.
-  void append_flags(std::string& out) const;
+  bool operator==(const IfaceInference&) const = default;
 };
+
+/// One row of the output: an observed interface address, the router
+/// (IR) it belongs to, and the final inference. The snapshot stores
+/// these records as they are.
+struct IfaceRecord {
+  netbase::IPAddr addr;
+  std::uint32_t router_id = 0;  ///< dense id; shared by aliases of one IR
+  IfaceInference inf;
+
+  bool operator==(const IfaceRecord&) const = default;
+};
+
+/// Sorts records into a table strictly ascending by address (the
+/// addresses must be distinct).
+void sort_by_addr(std::vector<IfaceRecord>& table);
+
+/// The record for `addr` in an address-sorted table, or nullptr. Every
+/// lookup into a result or snapshot goes through this one search.
+inline const IfaceRecord* find_iface(std::span<const IfaceRecord> table,
+                                     const netbase::IPAddr& addr) noexcept {
+  const auto it = std::ranges::lower_bound(table, addr, {}, &IfaceRecord::addr);
+  return it != table.end() && it->addr == addr ? &*it : nullptr;
+}
 
 struct Result {
   graph::Graph graph;  ///< fully annotated IR graph
   int iterations = 0;  ///< refinement iterations to the repeated state
   /// Annotation churn per refinement sweep (§6.3 convergence signature).
   std::vector<Annotator::IterationStats> iteration_stats;
-  std::unordered_map<netbase::IPAddr, IfaceInference> interfaces;
+  /// One record per graph interface, strictly ascending by address.
+  std::vector<IfaceRecord> interfaces;
 
   /// Distinct inferred AS-level adjacencies (unordered pairs).
   std::vector<std::pair<netbase::Asn, netbase::Asn>> as_links() const;

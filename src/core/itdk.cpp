@@ -1,6 +1,5 @@
 #include "core/itdk.hpp"
 
-#include <algorithm>
 #include <ostream>
 
 namespace core {
@@ -11,16 +10,14 @@ std::vector<ItdkNode> itdk_nodes(const Result& result) {
   for (const auto& ir : result.graph.irs()) {
     ItdkNode node;
     node.node_id = ir.id + 1;
-    for (int fid : ir.ifaces)
-      node.addrs.push_back(
-          result.graph.interfaces()[static_cast<std::size_t>(fid)].addr);
-    std::sort(node.addrs.begin(), node.addrs.end());
     node.asn = ir.annotation;
     node.method = ir.annotation == netbase::kNoAs ? "unknown"
                   : ir.last_hop                   ? "last-hop"
                                                   : "refinement";
     out.push_back(std::move(node));
   }
+  // The address-sorted table hands every node its members in order.
+  for (const IfaceRecord& rec : result.interfaces) out[rec.router_id].addrs.push_back(rec.addr);
   return out;
 }
 

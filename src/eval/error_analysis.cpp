@@ -118,18 +118,18 @@ void ErrorBreakdown::print(std::ostream& out) const {
 
 ErrorBreakdown analyze_errors(
     const topo::Internet& net, const GroundTruth& gt, const Visibility& vis,
-    const std::unordered_map<netbase::IPAddr, core::IfaceInference>& inf) {
+    const std::vector<core::IfaceRecord>& inf) {
   ErrorBreakdown out;
   for (const auto& f : net.ifaces()) {
     for (const netbase::IPAddr* addr : {&f.addr, f.has_addr6 ? &f.addr6 : nullptr}) {
       if (!addr) continue;
       if (!vis.non_echo.contains(*addr)) continue;
-      const auto it = inf.find(*addr);
-      if (it == inf.end()) continue;
+      const core::IfaceRecord* rec = core::find_iface(inf, *addr);
+      if (!rec) continue;
       const IfaceTruth* t = gt.truth(*addr);
       if (!t) continue;
       const LinkCategory cat = categorize(net, f);
-      const Outcome o = classify(*t, it->second);
+      const Outcome o = classify(*t, rec->inf);
       ++out.counts[static_cast<std::size_t>(cat)][static_cast<std::size_t>(o)];
     }
   }

@@ -22,7 +22,7 @@
 #include <array>
 #include <cstddef>
 #include <iosfwd>
-#include <unordered_map>
+#include <vector>
 
 #include "core/bdrmapit.hpp"
 #include "eval/ground_truth.hpp"
@@ -69,6 +69,6 @@ struct ErrorBreakdown {
 /// Classifies every observed, non-echo-only interface.
 ErrorBreakdown analyze_errors(
     const topo::Internet& net, const GroundTruth& gt, const Visibility& vis,
-    const std::unordered_map<netbase::IPAddr, core::IfaceInference>& inf);
+    const std::vector<core::IfaceRecord>& inf);
 
 }  // namespace eval

@@ -14,7 +14,7 @@ bool claim_correct(const IfaceTruth& t, const core::IfaceInference& inf) {
 
 Metrics evaluate_network(
     const topo::Internet& net, const GroundTruth& gt, const Visibility& vis,
-    const std::unordered_map<netbase::IPAddr, core::IfaceInference>& inf,
+    const std::vector<core::IfaceRecord>& inf,
     netbase::Asn asn, const EvalOptions& opt) {
   Metrics m;
 
@@ -23,7 +23,7 @@ Metrics evaluate_network(
   };
 
   // ---- precision: per inferred claim involving `asn` -------------------
-  for (const auto& [addr, i] : inf) {
+  for (const auto& [addr, router_id, i] : inf) {
     if (!i.interdomain() || i.ixp) continue;
     if (i.router_as != asn && i.conn_as != asn) continue;
     if (!pass_filter(addr)) continue;
@@ -60,10 +60,10 @@ Metrics evaluate_network(
         if (opt.exclude_last_hop_only && !vis.mid_path.contains(addr)) continue;
         if (!pass_filter(addr)) continue;
         visible = true;
-        auto it = inf.find(addr);
-        if (it == inf.end()) continue;
+        const core::IfaceRecord* rec = core::find_iface(inf, addr);
+        if (!rec) continue;
         const IfaceTruth* t = gt.truth(addr);
-        if (t && claim_correct(*t, it->second)) correct = true;
+        if (t && claim_correct(*t, rec->inf)) correct = true;
       }
     }
     if (!visible) continue;
@@ -98,9 +98,9 @@ double visible_link_fraction(const topo::Internet& net, const Visibility& vis,
 
 double global_owner_accuracy(
     const GroundTruth& gt, const Visibility& vis,
-    const std::unordered_map<netbase::IPAddr, core::IfaceInference>& inf) {
+    const std::vector<core::IfaceRecord>& inf) {
   std::size_t correct = 0, total = 0;
-  for (const auto& [addr, i] : inf) {
+  for (const auto& [addr, router_id, i] : inf) {
     const IfaceTruth* t = gt.truth(addr);
     if (!t) continue;  // host/unknown addresses have no router owner
     if (!vis.non_echo.contains(addr)) continue;

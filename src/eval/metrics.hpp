@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <vector>
 #include <unordered_set>
 
 #include "core/bdrmapit.hpp"
@@ -59,7 +59,7 @@ struct EvalOptions {
 /// Evaluates inferences for one validation network `asn`.
 Metrics evaluate_network(
     const topo::Internet& net, const GroundTruth& gt, const Visibility& vis,
-    const std::unordered_map<netbase::IPAddr, core::IfaceInference>& inf,
+    const std::vector<core::IfaceRecord>& inf,
     netbase::Asn asn, const EvalOptions& opt = {});
 
 /// Fraction of `asn`'s true interdomain ptp links with at least one
@@ -73,6 +73,6 @@ double visible_link_fraction(const topo::Internet& net, const Visibility& vis,
 /// effects are diffuse.
 double global_owner_accuracy(
     const GroundTruth& gt, const Visibility& vis,
-    const std::unordered_map<netbase::IPAddr, core::IfaceInference>& inf);
+    const std::vector<core::IfaceRecord>& inf);
 
 }  // namespace eval

@@ -35,17 +35,6 @@ std::string_view next_token(std::string_view& rest) {
   return token;
 }
 
-void append_iface(std::string& out, const SnapshotIface& rec) {
-  rec.addr.append_to(out);
-  out += '\t';
-  render::append_u64(out, rec.inf.router_as);
-  out += '\t';
-  render::append_u64(out, rec.inf.conn_as);
-  out += '\t';
-  rec.inf.append_flags(out);
-  out += '\n';
-}
-
 void append_err(std::string& out, std::string_view reason,
                 std::string_view detail) {
   out += "ERR\t";
@@ -78,6 +67,23 @@ IfaceScratch& iface_scratch() {
 }
 
 }  // namespace
+
+void append_iface(std::string& out, const SnapshotIface& rec) {
+  rec.addr.append_to(out);
+  out += '\t';
+  render::append_u64(out, rec.inf.router_as);
+  out += '\t';
+  render::append_u64(out, rec.inf.conn_as);
+  out += '\t';
+  char flags[4];  // B border, X IXP, E echo-only, - when none apply; newline
+  std::size_t n = 0;
+  if (rec.inf.interdomain()) flags[n++] = 'B';
+  if (rec.inf.ixp) flags[n++] = 'X';
+  if (!rec.inf.seen_non_echo) flags[n++] = 'E';
+  if (n == 0) flags[n++] = '-';
+  flags[n++] = '\n';
+  out.append(flags, n);
+}
 
 Protocol::Action Protocol::handle_line(std::string_view line,
                                        std::string& out) const {

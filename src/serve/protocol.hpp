@@ -34,6 +34,14 @@
 
 namespace serve {
 
+/// Appends the TSV row for one interface record: addr, router_as,
+/// conn_as and flags (`B` border, `X` IXP, `E` echo-only, `-` when none
+/// apply), tab-separated, newline-terminated. The IFACE,
+/// PREFIX and ROUTER replies and bdrmapit_cli's --output all render
+/// through this, so they agree byte for byte. Allocation-free when
+/// `out` has spare capacity.
+void append_iface(std::string& out, const SnapshotIface& rec);
+
 class Protocol {
  public:
   /// What the transport should do after a request line is handled.

@@ -124,20 +124,7 @@ Snapshot snapshot_from_result(const core::Result& result) {
   snap.iteration_stats = result.iteration_stats;
   snap.router_count = result.graph.irs().size();
 
-  snap.interfaces.reserve(result.interfaces.size());
-  for (const auto& f : result.graph.interfaces()) {
-    const auto it = result.interfaces.find(f.addr);
-    if (it == result.interfaces.end()) continue;
-    SnapshotIface rec;
-    rec.addr = f.addr;
-    rec.router_id = static_cast<std::uint32_t>(f.ir);
-    rec.inf = it->second;
-    snap.interfaces.push_back(rec);
-  }
-  std::sort(snap.interfaces.begin(), snap.interfaces.end(),
-            [](const SnapshotIface& a, const SnapshotIface& b) {
-              return a.addr < b.addr;
-            });
+  snap.interfaces = result.interfaces;
   snap.as_links = result.as_links();  // already sorted + deduped
   return snap;
 }

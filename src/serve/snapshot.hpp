@@ -32,13 +32,8 @@ namespace serve {
 /// Current on-disk format version. Bump on any layout change.
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
-/// One interface record: the address, the router (IR) it belongs to,
-/// and the final inference.
-struct SnapshotIface {
-  netbase::IPAddr addr;
-  std::uint32_t router_id = 0;  ///< dense id; shared by aliases of one IR
-  core::IfaceInference inf;
-};
+/// One interface record is the result's record, stored as it is.
+using SnapshotIface = core::IfaceRecord;
 
 /// In-memory image of a snapshot file.
 struct Snapshot {
@@ -49,9 +44,9 @@ struct Snapshot {
   std::vector<std::pair<netbase::Asn, netbase::Asn>> as_links;  ///< sorted, deduped
 };
 
-/// Builds a snapshot image from a completed run. Interfaces come out
-/// sorted by address and AS links sorted ascending, so two identical
-/// runs produce byte-identical snapshots.
+/// Builds a snapshot image from a completed run: the result's
+/// address-sorted interface table, copied, and its AS links sorted
+/// ascending, so two identical runs produce byte-identical snapshots.
 Snapshot snapshot_from_result(const core::Result& result);
 
 /// Serializes `snap` to `out` (open the stream in binary mode).

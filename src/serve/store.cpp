@@ -91,9 +91,7 @@ std::unique_ptr<AnnotationStore> AnnotationStore::open(
 
 const SnapshotIface* AnnotationStore::find(
     const netbase::IPAddr& addr) const noexcept {
-  const auto& table = snap_.interfaces;
-  const auto it = std::ranges::lower_bound(table, addr, {}, &SnapshotIface::addr);
-  return it != table.end() && it->addr == addr ? &*it : nullptr;
+  return core::find_iface(snap_.interfaces, addr);
 }
 
 void AnnotationStore::find_batch(const netbase::IPAddr* addrs, std::size_t n,

@@ -126,7 +126,9 @@ inline std::vector<Corruption> corruption_matrix() {
            }
        }},
       {"result-divergence", "result.iface-consistency",
-       [](core::Result& r) { r.interfaces.begin()->second.router_as = 64999; }},
+       [](core::Result& r) { r.interfaces.front().inf.router_as = 64999; }},
+      {"result-unsorted", "result.iface-sorted",
+       [](core::Result& r) { std::swap(r.interfaces.front(), r.interfaces.back()); }},
       {"iteration-stats", "result.iteration-stats",
        [](core::Result& r) { r.iteration_stats.pop_back(); }},
   };

@@ -89,7 +89,7 @@ TEST(AuditParallel, LargerScenarioReportIdenticalAcrossThreadCounts) {
   r.graph.links()[0].label = static_cast<graph::LinkLabel>(9);
   r.graph.interfaces()[0].ir = static_cast<int>(r.graph.irs().size());
   r.graph.interfaces()[3].origin.asn = 64999;
-  r.interfaces.begin()->second.router_as = 64999;
+  r.interfaces.front().inf.router_as = 64999;
   const std::string baseline =
       render(audit::audit_graph(r.graph, 1)) +
       render(audit::audit_origins(r.graph, s.ip2as, 1)) +
@@ -103,6 +103,29 @@ TEST(AuditParallel, LargerScenarioReportIdenticalAcrossThreadCounts) {
                             render(audit::audit_result(r, threads));
     EXPECT_EQ(got, baseline) << "diverges at threads=" << threads;
   }
+}
+
+// Two swapped records far apart in the result table: the order check
+// reports them identically however the table is sharded.
+TEST(AuditParallel, SwappedResultRecordsReportedAtEveryThreadCount) {
+  const eval::Scenario s =
+      eval::make_scenario(topo::small_params(), 8, /*exclude_validation=*/true, 7);
+  core::Result r =
+      core::Bdrmapit::run(s.corpus, eval::midar_aliases(s), s.ip2as, s.rels);
+  ASSERT_TRUE(audit::audit_result(r, 1).empty());
+  ASSERT_GE(r.interfaces.size(), 8u);
+  std::swap(r.interfaces[1], r.interfaces[r.interfaces.size() - 2]);
+  const std::string baseline = render(audit::audit_result(r, 1));
+  EXPECT_NE(baseline.find("result.iface-sorted: interface records out of order at index 2 "),
+            std::string::npos)
+      << baseline;
+  EXPECT_NE(baseline.find("result.iface-sorted: interface records out of order at index " +
+                          std::to_string(r.interfaces.size() - 2) + " "),
+            std::string::npos)
+      << baseline;
+  for (const int threads : {2, 8, 0})  // 0 = hardware concurrency
+    EXPECT_EQ(render(audit::audit_result(r, threads)), baseline)
+        << "diverges at threads=" << threads;
 }
 
 TEST(AuditParallel, EmptyInputsIdenticalAndCleanAtAnyThreadCount) {

@@ -191,7 +191,7 @@ TEST(Audit, ResultMapDivergenceIsDetected) {
   const Pipeline p;
   core::Result r = p.run();
   ASSERT_FALSE(r.interfaces.empty());
-  r.interfaces.begin()->second.router_as = 64999;
+  r.interfaces.front().inf.router_as = 64999;
   const auto vs = audit::audit_result(r);
   EXPECT_TRUE(has_check(vs, "result.iface-consistency")) << checks_of(vs);
 }

@@ -40,7 +40,7 @@ TEST(MapIt, FindsBorderFromSubsequentPlurality) {
                    {{1, ip(1, 2), 'T'}, {2, ip(1, 50), 'T'}, {3, ip(2, 2), 'T'}}),
   };
   auto out = baselines::MapIt::run(corpus, plan_ip2as());
-  const auto& inf = out.at(IPAddr::must_parse(ip(1, 50)));
+  const auto& inf = testutil::inf_at(out, IPAddr::must_parse(ip(1, 50)));
   EXPECT_EQ(inf.router_as, 2u);
   EXPECT_EQ(inf.conn_as, 1u);
   EXPECT_TRUE(inf.interdomain());
@@ -59,21 +59,21 @@ TEST(MapIt, BorderDetectedSomewhereAcrossTheBoundary) {
   };
   auto out = baselines::MapIt::run(corpus, plan_ip2as());
   bool border_claimed = false;
-  for (const auto& [addr, inf] : out) {
+  for (const auto& [addr, router_id, inf] : out) {
     if (!inf.interdomain()) continue;
     const auto pair = std::minmax(inf.router_as, inf.conn_as);
     if (pair.first == 1u && pair.second == 2u) border_claimed = true;
   }
   EXPECT_TRUE(border_claimed);
-  EXPECT_FALSE(out.at(IPAddr::must_parse(ip(1, 60))).interdomain());
-  EXPECT_FALSE(out.at(IPAddr::must_parse(ip(1, 61))).interdomain());
+  EXPECT_FALSE(testutil::inf_at(out, IPAddr::must_parse(ip(1, 60))).interdomain());
+  EXPECT_FALSE(testutil::inf_at(out, IPAddr::must_parse(ip(1, 61))).interdomain());
 }
 
 TEST(MapIt, InternalInterfacesNotFlagged) {
   auto corpus = std::vector{testutil::tr(
       "vp", ip(1, 9), {{1, ip(1, 1), 'T'}, {2, ip(1, 2), 'T'}, {3, ip(1, 3), 'T'}})};
   auto out = baselines::MapIt::run(corpus, plan_ip2as());
-  for (const auto& [addr, inf] : out) EXPECT_FALSE(inf.interdomain());
+  for (const auto& [addr, router_id, inf] : out) EXPECT_FALSE(inf.interdomain());
 }
 
 TEST(MapIt, NoDestinationHeuristic) {
@@ -82,7 +82,7 @@ TEST(MapIt, NoDestinationHeuristic) {
   auto corpus = std::vector{testutil::tr(
       "vp", ip(5, 9), {{1, ip(9, 1), 'T'}, {2, ip(1, 5), 'T'}})};
   auto out = baselines::MapIt::run(corpus, plan_ip2as());
-  const auto& inf = out.at(IPAddr::must_parse(ip(1, 5)));
+  const auto& inf = testutil::inf_at(out, IPAddr::must_parse(ip(1, 5)));
   EXPECT_FALSE(inf.interdomain());
 }
 
@@ -101,7 +101,7 @@ TEST(MapIt, PluralityThresholdRespected) {
   };
   auto out = baselines::MapIt::run(corpus, plan_ip2as());
   // AS2 holds 2/3 of subsequent votes >= 0.5 -> border inferred.
-  const auto& inf = out.at(IPAddr::must_parse(ip(1, 50)));
+  const auto& inf = testutil::inf_at(out, IPAddr::must_parse(ip(1, 50)));
   EXPECT_EQ(inf.router_as, 2u);
 }
 
@@ -116,8 +116,8 @@ TEST(MapIt, RefinementPropagates) {
                    {{1, ip(1, 2), 'T'}, {2, ip(1, 50), 'T'}, {3, ip(2, 1), 'T'}}),
   };
   auto out = baselines::MapIt::run(corpus, plan_ip2as());
-  EXPECT_EQ(out.at(IPAddr::must_parse(ip(2, 1))).router_as, 2u);
-  EXPECT_FALSE(out.at(IPAddr::must_parse(ip(2, 2))).interdomain());
+  EXPECT_EQ(testutil::inf_at(out, IPAddr::must_parse(ip(2, 1))).router_as, 2u);
+  EXPECT_FALSE(testutil::inf_at(out, IPAddr::must_parse(ip(2, 2))).interdomain());
 }
 
 // ---------------------------------------------------------------------
@@ -130,7 +130,7 @@ TEST(Bdrmap, InternalRoutersGetVpAs) {
       "vp", ip(2, 9), {{1, ip(1, 1), 'T'}, {2, ip(1, 2), 'T'}, {3, ip(2, 1), 'T'}})};
   auto out = baselines::Bdrmap::run(corpus, {}, plan_ip2as(),
                                     testutil::make_rels({"1>2"}), 1);
-  EXPECT_EQ(out.at(IPAddr::must_parse(ip(1, 1))).router_as, 1u);
+  EXPECT_EQ(testutil::inf_at(out, IPAddr::must_parse(ip(1, 1))).router_as, 1u);
 }
 
 TEST(Bdrmap, FirstBoundaryRouterMappedToNeighbor) {
@@ -141,7 +141,7 @@ TEST(Bdrmap, FirstBoundaryRouterMappedToNeighbor) {
       {{1, ip(1, 1), 'T'}, {2, ip(1, 50), 'T'}, {3, ip(2, 1), 'T'}})};
   auto out = baselines::Bdrmap::run(corpus, {}, plan_ip2as(),
                                     testutil::make_rels({"1>2"}), 1);
-  const auto& border = out.at(IPAddr::must_parse(ip(1, 50)));
+  const auto& border = testutil::inf_at(out, IPAddr::must_parse(ip(1, 50)));
   EXPECT_EQ(border.router_as, 2u);
   EXPECT_EQ(border.conn_as, 1u);
 }
@@ -154,7 +154,7 @@ TEST(Bdrmap, SilentEdgeUsesDestinations) {
       testutil::tr("vp", ip(2, 8), {{1, ip(1, 1), 'T'}, {2, ip(1, 50), 'T'}})};
   auto out = baselines::Bdrmap::run(corpus, {}, plan_ip2as(),
                                     testutil::make_rels({"1>2"}), 1);
-  EXPECT_EQ(out.at(IPAddr::must_parse(ip(1, 50))).router_as, 2u);
+  EXPECT_EQ(testutil::inf_at(out, IPAddr::must_parse(ip(1, 50))).router_as, 2u);
 }
 
 TEST(Bdrmap, NoClaimsBeyondFirstBoundary) {
@@ -166,7 +166,7 @@ TEST(Bdrmap, NoClaimsBeyondFirstBoundary) {
        {4, ip(2, 60), 'T'}, {5, ip(3, 1), 'T'}})};
   auto out = baselines::Bdrmap::run(corpus, {}, plan_ip2as(),
                                     testutil::make_rels({"1>2", "2>3"}), 1);
-  const auto& deep = out.at(IPAddr::must_parse(ip(3, 1)));
+  const auto& deep = testutil::inf_at(out, IPAddr::must_parse(ip(3, 1)));
   EXPECT_FALSE(deep.interdomain());
   EXPECT_EQ(deep.router_as, 3u);
 }
@@ -183,8 +183,8 @@ TEST(Bdrmap, UsesAliasesForBorderRouters) {
                    {{1, ip(1, 2), 'T'}, {2, ip(1, 51), 'T'}, {3, ip(2, 2), 'T'}})};
   auto out = baselines::Bdrmap::run(corpus, aliases, plan_ip2as(),
                                     testutil::make_rels({"1>2"}), 1);
-  EXPECT_EQ(out.at(IPAddr::must_parse(ip(1, 50))).router_as, 2u);
-  EXPECT_EQ(out.at(IPAddr::must_parse(ip(1, 51))).router_as, 2u);
+  EXPECT_EQ(testutil::inf_at(out, IPAddr::must_parse(ip(1, 50))).router_as, 2u);
+  EXPECT_EQ(testutil::inf_at(out, IPAddr::must_parse(ip(1, 51))).router_as, 2u);
 }
 
 TEST(Bdrmap, PrefersRelatedNeighbor) {
@@ -199,5 +199,5 @@ TEST(Bdrmap, PrefersRelatedNeighbor) {
                    {{1, ip(1, 1), 'T'}, {2, ip(1, 50), 'T'}, {3, ip(3, 2), 'T'}})};
   auto out = baselines::Bdrmap::run(corpus, {}, plan_ip2as(),
                                     testutil::make_rels({"1>2"}), 1);
-  EXPECT_EQ(out.at(IPAddr::must_parse(ip(1, 50))).router_as, 2u);
+  EXPECT_EQ(testutil::inf_at(out, IPAddr::must_parse(ip(1, 50))).router_as, 2u);
 }

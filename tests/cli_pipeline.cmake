@@ -315,6 +315,32 @@ foreach(leg IN LISTS unwritable)
   endif()
 endforeach()
 
+# gen_testdata's flags are strict too: a bad --vps or --scale, a flag
+# without a value, or an --out that cannot be created is exit 1 with
+# one diagnostic and no dataset, never a default Internet or an abort.
+function(expect_gen_rejects want flag value)
+  file(REMOVE_RECURSE ${OUT}/badgen)
+  execute_process(COMMAND ${GEN} --out ${OUT}/badgen --seed 3 ${flag} "${value}"
+                  OUTPUT_QUIET
+                  ERROR_FILE ${OUT}/badgen.err
+                  RESULT_VARIABLE rc)
+  file(READ ${OUT}/badgen.err err_text)
+  if(NOT rc EQUAL 1 OR NOT err_text MATCHES "${want}" OR EXISTS ${OUT}/badgen)
+    message(FATAL_ERROR "gen_testdata exit ${rc} (want 1, no output) for ${flag} '${value}': ${err_text}")
+  endif()
+endfunction()
+foreach(bad "abc" "5x" "")
+  expect_gen_rejects("error: --vps expects" --vps "${bad}")
+endforeach()
+expect_gen_rejects("error: --scale expects" --scale tiny)
+expect_gen_rejects("error: cannot create" --out ${OUT}/data/traces.txt/sub)
+file(REMOVE_RECURSE ${OUT}/badgen)
+execute_process(COMMAND ${GEN} --out ${OUT}/badgen --vps
+                OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1 OR EXISTS ${OUT}/badgen)
+  message(FATAL_ERROR "gen_testdata exit ${rc} (want 1, no output) for a trailing --vps")
+endif()
+
 # An ablation switch must also run cleanly.
 run(${CLI}
     --traces ${OUT}/data/traces.txt
@@ -340,5 +366,34 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ip2as_cli failed")
 endif()
 check_nonempty(${OUT}/ip2as.tsv)
+
+# ip2as_cli checks its inputs and its output: a missing table file or
+# a full stdout is exit 1 with one diagnostic, with no rows and no
+# "resolved" summary. Each leg is "DIAGNOSTIC|STDOUT|ARGS...".
+set(bad_ip2as
+    "cannot open|${OUT}/ip2as_bad.tsv|--delegations|${OUT}/no_such_dir/delegations.txt"
+    "cannot open|${OUT}/ip2as_bad.tsv|--ixp|${OUT}/no_such_dir/ixp.txt")
+if(EXISTS /dev/full)
+  list(APPEND bad_ip2as "cannot write standard output|/dev/full")
+endif()
+foreach(leg IN LISTS bad_ip2as)
+  string(REPLACE "|" ";" leg_args "${leg}")
+  list(POP_FRONT leg_args want stdout_file)
+  file(REMOVE ${OUT}/ip2as_bad.tsv)
+  execute_process(COMMAND ${IP2AS} --rib ${OUT}/data/rib.txt --addrs ${addr_file}
+                  ${leg_args}
+                  OUTPUT_FILE ${stdout_file}
+                  ERROR_FILE ${OUT}/ip2as_bad.err
+                  RESULT_VARIABLE rc)
+  file(READ ${OUT}/ip2as_bad.err err_text)
+  set(rows 0)
+  if(EXISTS ${OUT}/ip2as_bad.tsv)
+    file(SIZE ${OUT}/ip2as_bad.tsv rows)
+  endif()
+  if(NOT rc EQUAL 1 OR NOT err_text MATCHES "error: ${want}" OR
+     err_text MATCHES "resolved" OR NOT rows EQUAL 0)
+    message(FATAL_ERROR "ip2as_cli exit ${rc} (want 1, no rows) for '${leg}': ${err_text}")
+  endif()
+endforeach()
 
 message(STATUS "cli pipeline OK")

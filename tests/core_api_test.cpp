@@ -1,9 +1,14 @@
-// Tests for the public core API surface: Result semantics, as_links
-// extraction, IfaceInference predicates, iteration stats plumbing.
+// Tests for the public core API surface: Result semantics, the
+// address-sorted interface table and its lookup, as_links extraction,
+// IfaceInference predicates, iteration stats plumbing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/bdrmapit.hpp"
+#include "eval/experiment.hpp"
+#include "serve/snapshot.hpp"
 #include "test_util.hpp"
 
 using netbase::IPAddr;
@@ -72,8 +77,62 @@ TEST(CoreApi, InterfacesKeyedByEveryObservedAddress) {
   core::Result r =
       core::Bdrmapit::run(corpus, {}, plan_ip2as(), testutil::make_rels({}));
   EXPECT_EQ(r.interfaces.size(), 2u);  // the private gateway is excluded
-  EXPECT_TRUE(r.interfaces.contains(IPAddr::must_parse(ip(1, 1))));
-  EXPECT_FALSE(r.interfaces.contains(IPAddr::must_parse("10.0.0.1")));
+  EXPECT_NE(core::find_iface(r.interfaces, IPAddr::must_parse(ip(1, 1))), nullptr);
+  EXPECT_EQ(core::find_iface(r.interfaces, IPAddr::must_parse("10.0.0.1")), nullptr);
+}
+
+// On full synthetic runs the table is strictly address-sorted, holds
+// exactly one record per graph interface (mirroring its IR and
+// annotations), and is the snapshot's interface table as it is.
+TEST(CoreApi, InterfaceTableMirrorsGraphSortedAndIsTheSnapshotTable) {
+  for (const std::uint64_t seed : {1u, 5u, 7u}) {
+    const eval::Scenario s = eval::make_scenario(topo::small_params(), 12, true, seed);
+    const core::Result r =
+        core::Bdrmapit::run(s.corpus, eval::midar_aliases(s), s.ip2as, s.rels);
+    const auto& table = r.interfaces;
+    ASSERT_EQ(table.size(), r.graph.interfaces().size()) << seed;
+    ASSERT_GT(table.size(), 100u);
+    for (std::size_t i = 1; i < table.size(); ++i)
+      ASSERT_LT(table[i - 1].addr, table[i].addr) << seed << " at " << i;
+    for (const auto& f : r.graph.interfaces()) {
+      const core::IfaceRecord* rec = core::find_iface(table, f.addr);
+      ASSERT_NE(rec, nullptr) << f.addr.to_string();
+      EXPECT_EQ(rec->router_id, static_cast<std::uint32_t>(f.ir));
+      EXPECT_EQ(rec->inf.router_as,
+                r.graph.irs()[static_cast<std::size_t>(f.ir)].annotation);
+      EXPECT_EQ(rec->inf.conn_as, f.annotation);
+      EXPECT_EQ(rec->inf.ixp, f.origin.is_ixp());
+      EXPECT_EQ(rec->inf.seen_non_echo, f.seen_non_echo);
+      EXPECT_EQ(rec->inf.seen_mid_path, f.seen_mid_path);
+    }
+    EXPECT_TRUE(serve::snapshot_from_result(r).interfaces == table) << seed;
+
+    // The lookup hits every record in place, and misses addresses the
+    // table lacks in either family.
+    for (const auto& rec : table) ASSERT_EQ(core::find_iface(table, rec.addr), &rec);
+    for (const char* absent : {"0.0.0.0", "255.255.255.255", "::",
+                               "2001:db8::dead", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"}) {
+      const IPAddr a = IPAddr::must_parse(absent);
+      ASSERT_TRUE(std::ranges::none_of(table, [&](const auto& rec) { return rec.addr == a; }));
+      EXPECT_EQ(core::find_iface(table, a), nullptr) << absent;
+    }
+  }
+}
+
+// A hand-built mixed-family table: v4 records sort before v6 ones, and
+// an address whose bytes mirror a record of the other family misses.
+TEST(CoreApi, FindIfaceOnMixedFamilyTable) {
+  std::vector<core::IfaceRecord> table;
+  for (const char* a : {"2001:db8::1", "10.0.0.2", "::a00:1", "10.0.0.1"})
+    table.push_back({IPAddr::must_parse(a), 0, {}});
+  core::sort_by_addr(table);
+  EXPECT_EQ(table.front().addr, IPAddr::must_parse("10.0.0.1"));
+  EXPECT_EQ(table.back().addr, IPAddr::must_parse("2001:db8::1"));
+  for (const auto& rec : table) EXPECT_EQ(core::find_iface(table, rec.addr), &rec);
+  for (const char* absent : {"10.0.0.3", "0.0.0.10", "::a00:2", "::ffff:10.0.0.1",
+                             "2001:db8::2"})
+    EXPECT_EQ(core::find_iface(table, IPAddr::must_parse(absent)), nullptr) << absent;
+  EXPECT_EQ(core::find_iface({}, IPAddr::must_parse("10.0.0.1")), nullptr);
 }
 
 TEST(CoreApi, EmptyCorpusYieldsEmptyResult) {

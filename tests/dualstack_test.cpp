@@ -133,7 +133,7 @@ TEST(DualStack, EndToEndAccuracyHolds) {
   }
   // Both families contribute interdomain claims.
   std::size_t v4 = 0, v6 = 0;
-  for (const auto& [addr, inf] : r.interfaces)
+  for (const auto& [addr, router_id, inf] : r.interfaces)
     if (inf.interdomain()) (addr.is_v6() ? v6 : v4) += 1;
   EXPECT_GT(v4, 0u);
   EXPECT_GT(v6, 0u);

@@ -16,7 +16,7 @@ namespace {
 
 struct RunResult {
   eval::Scenario s;
-  std::unordered_map<netbase::IPAddr, core::IfaceInference> inf;
+  std::vector<core::IfaceRecord> inf;
   eval::ErrorBreakdown breakdown;
 };
 
@@ -37,8 +37,8 @@ TEST(ErrorAnalysis, CountsCoverObservedInterfaces) {
     total += run.breakdown.total(static_cast<LinkCategory>(c));
   // Every observed, non-echo-only interface with truth is classified.
   std::size_t expected = 0;
-  for (const auto& [addr, i] : run.inf)
-    if (run.s.vis.non_echo.contains(addr) && run.s.gt.truth(addr)) ++expected;
+  for (const auto& rec : run.inf)
+    if (run.s.vis.non_echo.contains(rec.addr) && run.s.gt.truth(rec.addr)) ++expected;
   EXPECT_EQ(total, expected);
 }
 
@@ -50,15 +50,17 @@ TEST(ErrorAnalysis, InternalCategoryDominatedByCorrect) {
 
 TEST(ErrorAnalysis, PerfectOracleIsAllCorrect) {
   eval::Scenario s = eval::make_scenario(topo::small_params(), 10, true, 5);
-  std::unordered_map<netbase::IPAddr, core::IfaceInference> oracle;
+  std::vector<core::IfaceRecord> oracle;
   for (const auto& [addr, t] : s.gt.all()) {
     if (!s.vis.observed.contains(addr)) continue;
-    core::IfaceInference i;
-    i.router_as = t.owner;
-    i.conn_as = t.others.empty() ? t.owner : t.others.front();
-    i.ixp = t.ixp;
-    oracle.emplace(addr, i);
+    core::IfaceRecord rec;
+    rec.addr = addr;
+    rec.inf.router_as = t.owner;
+    rec.inf.conn_as = t.others.empty() ? t.owner : t.others.front();
+    rec.inf.ixp = t.ixp;
+    oracle.push_back(rec);
   }
+  core::sort_by_addr(oracle);
   const auto b = eval::analyze_errors(s.net, s.gt, s.vis, oracle);
   for (std::size_t c = 0; c < static_cast<std::size_t>(LinkCategory::kCount); ++c) {
     const auto cat = static_cast<LinkCategory>(c);

@@ -97,20 +97,20 @@ TEST(VisibilityTest, PrivateAddressesIgnored) {
 namespace {
 
 // Inference that copies ground truth exactly for observed addresses.
-std::unordered_map<IPAddr, core::IfaceInference> oracle(
-    const topo::Internet& net, const GroundTruth& gt, const Visibility& vis) {
-  std::unordered_map<IPAddr, core::IfaceInference> out;
+std::vector<core::IfaceRecord> oracle(const GroundTruth& gt, const Visibility& vis) {
+  std::vector<core::IfaceRecord> out;
   for (const auto& [addr, t] : gt.all()) {
     if (!vis.observed.contains(addr)) continue;
-    core::IfaceInference inf;
-    inf.router_as = t.owner;
-    inf.conn_as = t.others.empty() ? t.owner : t.others.front();
-    inf.ixp = t.ixp;
-    inf.seen_non_echo = vis.non_echo.contains(addr);
-    inf.seen_mid_path = vis.mid_path.contains(addr);
-    out.emplace(addr, inf);
+    core::IfaceRecord rec;
+    rec.addr = addr;
+    rec.inf.router_as = t.owner;
+    rec.inf.conn_as = t.others.empty() ? t.owner : t.others.front();
+    rec.inf.ixp = t.ixp;
+    rec.inf.seen_non_echo = vis.non_echo.contains(addr);
+    rec.inf.seen_mid_path = vis.mid_path.contains(addr);
+    out.push_back(rec);
   }
-  (void)net;
+  core::sort_by_addr(out);
   return out;
 }
 
@@ -123,7 +123,7 @@ TEST(MetricsTest, OracleScoresPerfect) {
   const auto corpus = tracer.campaign(vps, 9);
   const GroundTruth gt(net);
   const Visibility vis = eval::observe(corpus);
-  const auto inf = oracle(net, gt, vis);
+  const auto inf = oracle(gt, vis);
   for (const auto& as : net.ases()) {
     const auto m = eval::evaluate_network(net, gt, vis, inf, as.asn);
     EXPECT_DOUBLE_EQ(m.precision(), 1.0) << as.asn;
@@ -138,12 +138,12 @@ TEST(MetricsTest, CorruptedOracleLosesPrecisionAndRecall) {
   const auto corpus = tracer.campaign(vps, 9);
   const GroundTruth gt(net);
   const Visibility vis = eval::observe(corpus);
-  auto inf = oracle(net, gt, vis);
+  auto inf = oracle(gt, vis);
 
   const netbase::Asn victim = net.ases()[static_cast<std::size_t>(net.tier1_gt())].asn;
   // Corrupt every claim that involves the victim network.
   std::size_t corrupted = 0;
-  for (auto& [addr, i] : inf) {
+  for (auto& [addr, router_id, i] : inf) {
     if (i.router_as == victim && i.interdomain()) {
       i.conn_as = 4242;  // nonsense far side
       ++corrupted;
@@ -162,7 +162,7 @@ TEST(MetricsTest, EmptyInferencePerfectPrecisionZeroRecall) {
   const auto corpus = tracer.campaign(vps, 9);
   const GroundTruth gt(net);
   const Visibility vis = eval::observe(corpus);
-  const std::unordered_map<IPAddr, core::IfaceInference> empty;
+  const std::vector<core::IfaceRecord> empty;
   const netbase::Asn v = net.ases()[static_cast<std::size_t>(net.tier1_gt())].asn;
   const auto m = eval::evaluate_network(net, gt, vis, empty, v);
   EXPECT_DOUBLE_EQ(m.precision(), 1.0);  // no claims, vacuous
@@ -203,7 +203,7 @@ TEST(MetricsTest, AddressFilterRestrictsEvaluation) {
   const auto corpus = tracer.campaign(vps, 9);
   const GroundTruth gt(net);
   const Visibility vis = eval::observe(corpus);
-  const auto inf = oracle(net, gt, vis);
+  const auto inf = oracle(gt, vis);
   const netbase::Asn v = net.ases()[static_cast<std::size_t>(net.tier1_gt())].asn;
   eval::EvalOptions opt;
   opt.address_filter.insert(IPAddr::must_parse("203.0.113.1"));  // matches nothing

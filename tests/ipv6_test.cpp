@@ -55,7 +55,7 @@ TEST(Ipv6, LastHopDestinationHeuristic) {
       "vp6", ip6(5, 9), {{1, ip6(9, 1), 'T'}, {2, ip6(1, 5), 'T'}})};
   core::Result r = core::Bdrmapit::run(corpus, {}, v6_ip2as(),
                                        testutil::make_rels({"1>5"}));
-  const auto& inf = r.interfaces.at(IPAddr::must_parse(ip6(1, 5)));
+  const auto& inf = testutil::inf_at(r.interfaces, IPAddr::must_parse(ip6(1, 5)));
   EXPECT_EQ(inf.router_as, 5u);
   EXPECT_EQ(inf.conn_as, 1u);
   EXPECT_TRUE(inf.interdomain());
@@ -70,7 +70,7 @@ TEST(Ipv6, FullPipelineWithAliases) {
   core::Result r = core::Bdrmapit::run(corpus, aliases, v6_ip2as(),
                                        testutil::make_rels({"1>2"}));
   // Multihomed-customer exception works identically in v6.
-  EXPECT_EQ(r.interfaces.at(IPAddr::must_parse(ip6(1, 11))).router_as, 2u);
+  EXPECT_EQ(testutil::inf_at(r.interfaces, IPAddr::must_parse(ip6(1, 11))).router_as, 2u);
   const auto links = r.as_links();
   ASSERT_FALSE(links.empty());
   EXPECT_EQ(links.front(), (std::pair<netbase::Asn, netbase::Asn>{1, 2}));
@@ -89,8 +89,8 @@ TEST(Ipv6, MixedFamilyCorpus) {
   EXPECT_EQ(r.interfaces.size(), 4u);
   // Both families produce the same inference independently (here the
   // Fig. 11 exception maps the provider-space interface to customer 2).
-  EXPECT_EQ(r.interfaces.at(IPAddr::must_parse("20.0.1.1")).router_as,
-            r.interfaces.at(IPAddr::must_parse(ip6(1, 1))).router_as);
+  EXPECT_EQ(testutil::inf_at(r.interfaces, IPAddr::must_parse("20.0.1.1")).router_as,
+            testutil::inf_at(r.interfaces, IPAddr::must_parse(ip6(1, 1))).router_as);
   const auto links = r.as_links();
   // The 1-2 adjacency is inferred exactly once per family -> deduped to
   // one AS-level link.

@@ -14,6 +14,7 @@
 
 #include "eval/experiment.hpp"
 #include "parallel/thread_pool.hpp"
+#include "serve/protocol.hpp"
 #include "serve/snapshot.hpp"
 #include "tracedata/scamper_json.hpp"
 
@@ -152,20 +153,13 @@ TEST(ParallelDeterminism, GraphBuildIdenticalAcrossThreadCounts) {
   }
 }
 
-// The final artifacts a downstream consumer sees: the sorted TSV (what
-// bdrmapit_cli --output writes) and the binary snapshot.
+// The final artifacts a downstream consumer sees: the TSV rows (what
+// bdrmapit_cli --output writes, through the same renderer) and the
+// binary snapshot.
 std::string result_tsv(const core::Result& r) {
-  std::vector<netbase::IPAddr> addrs;
-  addrs.reserve(r.interfaces.size());
-  for (const auto& [addr, inf] : r.interfaces) addrs.push_back(addr);
-  std::sort(addrs.begin(), addrs.end());
-  std::ostringstream out;
-  for (const auto& addr : addrs) {
-    const auto& inf = r.interfaces.at(addr);
-    out << addr.to_string() << '\t' << inf.router_as << '\t' << inf.conn_as
-        << '\t' << inf.flags() << '\n';
-  }
-  return out.str();
+  std::string out;
+  for (const auto& rec : r.interfaces) serve::append_iface(out, rec);
+  return out;
 }
 
 std::string result_snapshot_bytes(const core::Result& r) {

@@ -7,15 +7,26 @@
 #pragma once
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "asrel/relstore.hpp"
 #include "bgp/ip2as.hpp"
+#include "core/bdrmapit.hpp"
 #include "tracedata/traceroute.hpp"
 
 namespace testutil {
+
+/// The inference for `addr` in an address-sorted result table. An
+/// absent address throws, which fails the calling test.
+inline const core::IfaceInference& inf_at(const std::vector<core::IfaceRecord>& table,
+                                          const netbase::IPAddr& addr) {
+  const core::IfaceRecord* rec = core::find_iface(table, addr);
+  if (!rec) throw std::out_of_range("no record for " + addr.to_string());
+  return rec->inf;
+}
 
 /// Builds an Ip2AS map from prefix->ASN lists.
 ///   bgp: announced prefixes; rir: delegation-only; ixp: IXP prefixes.

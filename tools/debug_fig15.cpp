@@ -19,12 +19,12 @@ int main(int argc, char** argv) {
   s.corpus = coll.traces;
   s.vis = eval::observe(s.corpus);
   const tracedata::AliasSets& aliases = coll.aliases;
-  std::unordered_map<netbase::IPAddr, core::IfaceInference> inf;
-  if (use_bdrmap) inf = baselines::Bdrmap::run(s.corpus, aliases, s.ip2as, s.rels, V);
-  else inf = core::Bdrmapit::run(s.corpus, aliases, s.ip2as, s.rels).interfaces;
+  const std::vector<core::IfaceRecord> inf =
+      use_bdrmap ? baselines::Bdrmap::run(s.corpus, aliases, s.ip2as, s.rels, V)
+                 : core::Bdrmapit::run(s.corpus, aliases, s.ip2as, s.rels).interfaces;
   std::printf("network %s = AS%u, tool=%s\n", which, V, use_bdrmap?"bdrmap":"bdrmapit");
   int shown = 0;
-  for (const auto& [addr, i] : inf) {
+  for (const auto& [addr, router_id, i] : inf) {
     if (!i.interdomain() || i.ixp) continue;
     if (i.router_as != V && i.conn_as != V) continue;
     const auto* t = s.gt.truth(addr);

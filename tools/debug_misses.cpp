@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   std::printf("network %s = AS%u\n", which, V);
 
   // precision misses
-  for (const auto& [addr, i] : r.interfaces) {
+  for (const auto& [addr, router_id, i] : r.interfaces) {
     if (!i.interdomain() || i.ixp) continue;
     if (i.router_as != V && i.conn_as != V) continue;
     const auto* t = s.gt.truth(addr);
@@ -47,21 +47,21 @@ int main(int argc, char** argv) {
     for (const auto* f : {&fa, &fb}) {
       if (!s.vis.observed.contains(f->addr) || !s.vis.non_echo.contains(f->addr)) continue;
       visible = true;
-      auto it = r.interfaces.find(f->addr);
-      if (it == r.interfaces.end()) continue;
+      const auto* rec = core::find_iface(r.interfaces, f->addr);
+      if (!rec) continue;
       const auto* t = s.gt.truth(f->addr);
-      if (t && t->interdomain && it->second.router_as == t->owner && t->other_is(it->second.conn_as)) correct = true;
+      if (t && t->interdomain && rec->inf.router_as == t->owner && t->other_is(rec->inf.conn_as)) correct = true;
     }
     if (!visible || correct) continue;
     std::printf("RECALL link %s(as%u) -- %s(as%u):\n", fa.addr.to_string().c_str(), oa, fb.addr.to_string().c_str(), ob);
     for (const auto* f : {&fa, &fb}) {
-      auto it = r.interfaces.find(f->addr);
-      if (it == r.interfaces.end()) { std::printf("   %s unobserved\n", f->addr.to_string().c_str()); continue; }
+      const auto* rec = core::find_iface(r.interfaces, f->addr);
+      if (!rec) { std::printf("   %s unobserved\n", f->addr.to_string().c_str()); continue; }
       const int fid = r.graph.iface_by_addr(f->addr);
       const auto& gf = r.graph.interfaces()[fid];
       const auto& ir = r.graph.irs()[gf.ir];
       std::printf("   %s origin=%u inferred=(%u,%u) lasthop=%d origset={", f->addr.to_string().c_str(), gf.origin.asn,
-        it->second.router_as, it->second.conn_as, (int)ir.last_hop);
+        rec->inf.router_as, rec->inf.conn_as, (int)ir.last_hop);
       for (auto o : ir.origin_set) std::printf("%u,", o);
       std::printf("} dest={");
       for (auto d : ir.dest_asns) std::printf("%u,", d);
