@@ -8,6 +8,7 @@
 
 #include <sstream>
 
+#include "baselines/mapit.hpp"
 #include "bench_util.hpp"
 #include "core/annotator.hpp"
 #include "tracedata/scamper_json.hpp"

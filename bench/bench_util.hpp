@@ -1,35 +1,12 @@
-// bench/bench_util.hpp — shared helpers for the per-figure benches.
-//
-// Each bench binary regenerates one table or figure from the paper's
-// evaluation (§7). They run with no arguments, print the same rows or
-// series the paper reports alongside the paper's own numbers, and exit
-// zero; EXPERIMENTS.md records the comparison.
+// bench/bench_util.hpp — helpers shared by the bench binaries.
 
 #pragma once
 
-#include <cmath>
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "baselines/bdrmap.hpp"
-#include "baselines/mapit.hpp"
 #include "eval/experiment.hpp"
 
 namespace benchutil {
-
-/// The two ITDK-style datasets of §7.2 (2016: 109 VPs, 2018: 141 VPs).
-/// Scaled to the synthetic topology; distinct seeds give independent
-/// Internets, mirroring the two-year gap.
-struct Dataset {
-  const char* label;
-  std::size_t vps;
-  std::uint64_t seed;
-};
-
-inline std::vector<Dataset> itdk_datasets() {
-  return {{"2016", 70, 2016}, {"2018", 90, 2018}};
-}
 
 inline void print_header(const char* title) {
   std::printf("==============================================================\n");
@@ -37,32 +14,9 @@ inline void print_header(const char* title) {
   std::printf("==============================================================\n");
 }
 
-inline void print_pct_row(const std::string& label, double ours, const char* paper) {
-  std::printf("  %-28s %8.1f%%   paper: %s\n", label.c_str(), 100.0 * ours, paper);
-}
-
 /// Runs bdrmapIT on a scenario with MIDAR-like aliases.
 inline core::Result run_bdrmapit(const eval::Scenario& s) {
   return core::Bdrmapit::run(s.corpus, eval::midar_aliases(s), s.ip2as, s.rels);
 }
-
-struct Mean {
-  double sum = 0, sum2 = 0;
-  std::size_t n = 0;
-  void add(double x) {
-    sum += x;
-    sum2 += x * x;
-    ++n;
-  }
-  double mean() const { return n == 0 ? 0 : sum / static_cast<double>(n); }
-  /// Standard error of the mean.
-  double stderr_() const {
-    if (n < 2) return 0;
-    const double m = mean();
-    const double var = (sum2 - static_cast<double>(n) * m * m) /
-                       static_cast<double>(n - 1);
-    return var <= 0 ? 0 : std::sqrt(var / static_cast<double>(n));
-  }
-};
 
 }  // namespace benchutil

@@ -49,8 +49,8 @@ struct AnnotatorOptions {
 
   // ---- ablation switches ----------------------------------------------
   // Each disables one adapted heuristic, leaving the rest intact; the
-  // bench_ablation binary measures every switch's contribution. All
-  // default to the paper's full algorithm.
+  // ablation section of bench/paper_figures measures every switch's
+  // contribution. All default to the paper's full algorithm.
   bool use_last_hop_dest = true;     ///< §5.2 destination-based last hops
   bool use_third_party = true;       ///< §6.1.1 third-party address test
   bool use_reallocated = true;       ///< §6.1.2 reallocated-prefix fix
