@@ -447,10 +447,10 @@ void ablation(const std::vector<Standard>& data) {
   std::printf("%-6s %-12s %10s %10s\n", "data", "relationships", "precision",
               "recall");
   for (const Standard& d : data) {
-    const eval::Scenario inferred = eval::make_scenario(
-        topo::SimParams{}, d.ds.vps, true, d.ds.seed, eval::RelSource::inferred);
+    const asrel::RelStore inferred = eval::inferred_relationships(d.s.net);
     const Score published = score(d.s, d.full);
-    const Score path = score(inferred, benchutil::run_bdrmapit(inferred));
+    const Score path =
+        score(d.s, core::Bdrmapit::run(d.s.corpus, d.aliases, d.s.ip2as, inferred));
     std::printf("%-6s %-12s %9.1f%% %9.1f%%\n", d.ds.label, "published",
                 100.0 * published.precision, 100.0 * published.recall);
     std::printf("%-6s %-12s %9.1f%% %9.1f%%\n", d.ds.label, "inferred",

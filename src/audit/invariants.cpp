@@ -31,14 +31,6 @@ bool in_range(int id, std::size_t size) noexcept {
   return id >= 0 && static_cast<std::size_t>(id) < size;
 }
 
-template <typename T>
-bool is_deduped(const std::vector<T>& v) {
-  for (std::size_t i = 0; i < v.size(); ++i)
-    for (std::size_t j = i + 1; j < v.size(); ++j)
-      if (v[i] == v[j]) return false;
-  return true;
-}
-
 std::string origin_str(const bgp::Origin& o) {
   return "asn=" + std::to_string(o.asn) +
          " kind=" + std::to_string(static_cast<int>(o.kind)) +
@@ -84,7 +76,7 @@ std::vector<Violation> audit_graph(const Graph& g, int threads) {
   const auto& irs = g.irs();
   const auto& links = g.links();
 
-  // ---- interfaces: ids, IR range (partition totality), set dedup ------
+  // ---- interfaces: ids, IR range (partition totality), sorted sets ----
   append(out, parallel::parallel_collect<Violation>(
                   ifaces.size(), threads,
                   [&](std::vector<Violation>& acc, std::size_t i) {
@@ -98,10 +90,10 @@ std::vector<Violation> audit_graph(const Graph& g, int threads) {
                              "interface " + f.addr.to_string() + " has IR " +
                                  std::to_string(f.ir) + " outside [0, " +
                                  std::to_string(irs.size()) + ")");
-                    if (!is_deduped(f.dest_asns))
+                    if (!graph::is_set(f.dest_asns))
                       report(acc, "iface.dest-set-dedup",
                              "interface " + f.addr.to_string() +
-                                 " has duplicate destination ASes");
+                                 " destination ASes are not strictly ascending");
                   }));
 
   // ---- IRs: ids, partition disjointness, aggregates, last-hop flag ----
@@ -134,27 +126,32 @@ std::vector<Violation> audit_graph(const Graph& g, int threads) {
                      std::to_string(ir.out_links.size()) + " outgoing links");
 
         // Origin aggregates must mirror the member interfaces exactly.
-        if (!is_deduped(ir.origin_set))
+        if (!graph::is_set(ir.origin_set))
           report(vs, "ir.origin-set-dedup",
-                 "IR " + std::to_string(ir.id) + " has duplicate origin ASes");
-        if (!is_deduped(ir.dest_asns))
+                 "IR " + std::to_string(ir.id) +
+                     " origin ASes are not strictly ascending");
+        if (!graph::is_set(ir.dest_asns))
           report(vs, "ir.dest-set-dedup",
-                 "IR " + std::to_string(ir.id) + " has duplicate destination ASes");
-        std::vector<Asn> want_origins;
-        std::size_t announced_members = 0;
+                 "IR " + std::to_string(ir.id) +
+                     " destination ASes are not strictly ascending");
+        std::vector<Asn> want_origins;  // announced member origins
         for (int fid : ir.ifaces) {
           if (!in_range(fid, ifaces.size())) continue;
           const Interface& f = ifaces[static_cast<std::size_t>(fid)];
-          if (f.origin.announced()) {
-            graph::set_insert(want_origins, f.origin.asn);
-            ++announced_members;
-          }
+          if (f.origin.announced()) want_origins.push_back(f.origin.asn);
           for (Asn d : f.dest_asns)
             if (!graph::set_contains(ir.dest_asns, d))
               report(vs, "ir.dest-set-consistency",
                      "IR " + std::to_string(ir.id) + " is missing destination AS " +
                          std::to_string(d) + " of interface " + f.addr.to_string());
         }
+        std::sort(want_origins.begin(), want_origins.end());
+        if (ir.origin_votes != graph::tally(want_origins))
+          report(vs, "ir.origin-votes",
+                 "IR " + std::to_string(ir.id) +
+                     " votes are not the ascending per-AS counts of its announced"
+                     " member interfaces");
+        graph::make_set(want_origins);
         for (Asn o : want_origins)
           if (!graph::set_contains(ir.origin_set, o))
             report(vs, "ir.origin-set-consistency",
@@ -165,20 +162,6 @@ std::vector<Violation> audit_graph(const Graph& g, int threads) {
             report(vs, "ir.origin-set-consistency",
                    "IR " + std::to_string(ir.id) + " lists origin AS " +
                        std::to_string(o) + " that no member interface announces");
-        std::size_t vote_sum = 0;
-        for (const auto& [asn, votes] : ir.origin_votes) {
-          if (votes <= 0 || !graph::set_contains(want_origins, asn))
-            report(vs, "ir.origin-votes",
-                   "IR " + std::to_string(ir.id) + " has a bogus vote entry for AS " +
-                       std::to_string(asn));
-          else
-            vote_sum += static_cast<std::size_t>(votes);
-        }
-        if (vote_sum != announced_members)
-          report(vs, "ir.origin-votes",
-                 "IR " + std::to_string(ir.id) + " vote total " +
-                     std::to_string(vote_sum) + " != announced member interfaces " +
-                     std::to_string(announced_members));
       });
   append(out, std::move(ir_scan.violations));
   const std::vector<int>& iface_memberships = ir_scan.counts;
@@ -216,14 +199,14 @@ std::vector<Violation> audit_graph(const Graph& g, int threads) {
                       report(acc, "link.label-range",
                              "link " + std::to_string(l.id) + " has confidence label " +
                                  std::to_string(label) + " outside {N=1, E=2, M=3}");
-                    if (!is_deduped(l.origin_set))
+                    if (!graph::is_set(l.origin_set))
                       report(acc, "link.origin-set-dedup",
                              "link " + std::to_string(l.id) +
-                                 " has duplicate origin ASes");
-                    if (!is_deduped(l.dest_asns))
+                                 " origin ASes are not strictly ascending");
+                    if (!graph::is_set(l.dest_asns))
                       report(acc, "link.dest-set-dedup",
                              "link " + std::to_string(l.id) +
-                                 " has duplicate destination ASes");
+                                 " destination ASes are not strictly ascending");
                     if (endpoints_ok) {
                       const IR& src = irs[static_cast<std::size_t>(l.ir)];
                       // L(IRi, j) collects announced origins of the source IR's
@@ -235,6 +218,10 @@ std::vector<Violation> audit_graph(const Graph& g, int threads) {
                                      std::to_string(o) +
                                      " is not an origin of source IR " +
                                      std::to_string(l.ir));
+                      if (!graph::is_set(l.prev_ifaces))
+                        report(acc, "link.prev-ifaces",
+                               "link " + std::to_string(l.id) +
+                                   " previous interfaces are not strictly ascending");
                       for (int pf : l.prev_ifaces)
                         if (!in_range(pf, ifaces.size()) ||
                             ifaces[static_cast<std::size_t>(pf)].ir != l.ir)

@@ -49,7 +49,7 @@ enum class Stage { graph_built, refined };
 
 /// Structural invariants of a built graph (§4): id/index agreement,
 /// the interface→IR partition (total and disjoint), link endpoint and
-/// back-reference consistency, label range, set dedup, last-hop flags.
+/// back-reference consistency, label range, sorted sets, last-hop flags.
 std::vector<Violation> audit_graph(const graph::Graph& g, int threads = 1);
 
 /// Interface origin labels against the IP→AS map (§4.1): every

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "graph/graph.hpp"
 
@@ -111,7 +110,8 @@ std::vector<core::IfaceRecord> Bdrmap::run(
         for (Asn d : ir.dest_asns)
           if (d != vp_asn) cands.push_back(d);
         if (!cands.empty()) {
-          // Prefer a destination that is a customer of the VP network.
+          // Prefer a destination that is a customer of the VP network,
+          // the lowest ASN first (dest_asns is sorted).
           for (Asn d : cands)
             if (rels.is_provider_of(vp_asn, d)) {
               ir.annotation = d;
@@ -137,12 +137,9 @@ std::vector<core::IfaceRecord> Bdrmap::run(
         continue;
       }
     }
-    std::vector<std::pair<Asn, int>> votes(ir.origin_votes.begin(),
-                                           ir.origin_votes.end());
-    std::sort(votes.begin(), votes.end());
     Asn best = kNoAs;
     int best_count = -1;
-    for (const auto& [a, c] : votes)
+    for (const auto& [a, c] : ir.origin_votes)
       if (c > best_count) {
         best = a;
         best_count = c;
@@ -171,18 +168,8 @@ std::vector<core::IfaceRecord> Bdrmap::run(
     if (f.origin.announced() && f.origin.asn != inf.router_as && !f.origin.is_ixp()) {
       inf.conn_as = f.origin.asn;
     } else {
-      std::unordered_map<int, std::unordered_set<int>> prev;  // ir -> ifaces
-      for (int lid : f.in_links) {
-        const graph::Link& l = g.links()[static_cast<std::size_t>(lid)];
-        prev[l.ir].insert(l.prev_ifaces.begin(), l.prev_ifaces.end());
-      }
-      std::unordered_map<Asn, int> W;
-      for (const auto& [prev_ir, prev_ifaces] : prev) {
-        const Asn a = g.irs()[static_cast<std::size_t>(prev_ir)].annotation;
-        if (a != kNoAs) W[a] += static_cast<int>(prev_ifaces.size());
-      }
-      std::vector<std::pair<Asn, int>> votes(W.begin(), W.end());
-      std::sort(votes.begin(), votes.end());
+      const graph::Votes votes =
+          graph::prev_iface_votes(g, f, [](const graph::Link&) { return true; });
       Asn best = f.origin.announced() ? f.origin.asn : kNoAs;
       int best_count = 0;
       for (const auto& [a, c] : votes)

@@ -12,13 +12,6 @@ namespace {
 using netbase::Asn;
 using netbase::kNoAs;
 
-// Vote map -> deterministic (asn, count) list.
-std::vector<std::pair<Asn, int>> to_votes(const std::unordered_map<Asn, int>& m) {
-  std::vector<std::pair<Asn, int>> v(m.begin(), m.end());
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
 }  // namespace
 
 netbase::Asn Annotator::min_cone(const std::vector<Asn>& cands) const {
@@ -123,7 +116,7 @@ std::optional<netbase::Asn> Annotator::lh_outside_related_to_all(
 // decides.
 std::optional<netbase::Asn> Annotator::lh_top_origin_vote(
     const graph::IR& ir) const {
-  return top_vote(to_votes(ir.origin_votes));
+  return top_vote(ir.origin_votes);
 }
 
 // Alg. 1 line 3: destination ASes overlapping the origin set; multiple
@@ -367,7 +360,8 @@ netbase::Asn Annotator::annotate_ir(const graph::IR& ir,
   // Line 9: one vote per IR interface, by origin AS.
   for (const auto& [a, count] : ir.origin_votes) V[a] += count;
 
-  const auto votes = to_votes(V);
+  graph::Votes votes(V.begin(), V.end());
+  std::sort(votes.begin(), votes.end());
   int max_count = 0;
   for (const auto& [a, c] : votes) max_count = std::max(max_count, c);
 
@@ -512,21 +506,11 @@ netbase::Asn Annotator::interface_choice(const graph::Interface& b) const {
     if (opt_.use_link_class_filter)
       for (int lid : b.in_links)
         best = std::min(best, g_.links()[static_cast<std::size_t>(lid)].label);
-    std::unordered_map<int, std::unordered_set<int>> prev;  // ir -> ifaces
-    for (int lid : b.in_links) {
-      const graph::Link& l = g_.links()[static_cast<std::size_t>(lid)];
-      if (l.label != best) continue;
-      prev[l.ir].insert(l.prev_ifaces.begin(), l.prev_ifaces.end());
-    }
-    std::unordered_map<Asn, int> W;
-    for (const auto& [prev_ir, prev_ifaces] : prev) {
-      const Asn a = g_.irs()[static_cast<std::size_t>(prev_ir)].annotation;
-      if (a != kNoAs) W[a] += static_cast<int>(prev_ifaces.size());
-    }
-    if (W.empty()) {
+    const graph::Votes votes = graph::prev_iface_votes(
+        g_, b, [best](const graph::Link& l) { return l.label == best; });
+    if (votes.empty()) {
       chosen = b.origin.announced() ? b.origin.asn : kNoAs;
     } else {
-      const auto votes = to_votes(W);
       int top = 0;
       for (const auto& [a, c] : votes) top = std::max(top, c);
       std::vector<Asn> tied;

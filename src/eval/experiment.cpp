@@ -10,24 +10,18 @@ namespace eval {
 namespace {
 
 Scenario finish_scenario(topo::Internet net, std::vector<topo::VantagePoint> vps,
-                         std::uint64_t seed, RelSource rel_source) {
+                         std::uint64_t seed) {
   const bgp::Rib rib = net.rib();
   const auto delegations = net.delegations();
   const auto ixp_prefixes = net.ixp_prefixes();
 
+  // Round-trip through the real serial-1 file format, exactly as the
+  // paper's pipeline reads CAIDA's published relationship dataset.
   asrel::RelStore rels;
-  if (rel_source == RelSource::published) {
-    // Round-trip through the real serial-1 file format, exactly as the
-    // paper's pipeline reads CAIDA's published relationship dataset.
-    std::stringstream file;
-    asrel::write_serial1(file, net.relationships());
-    asrel::load_serial1(file, rels);
-    rels.finalize();
-  } else {
-    asrel::Inferencer inferencer;
-    for (const auto& path : rib.paths()) inferencer.add_path(path);
-    rels = inferencer.infer();
-  }
+  std::stringstream file;
+  asrel::write_serial1(file, net.relationships());
+  asrel::load_serial1(file, rels);
+  rels.finalize();
 
   topo::Tracer tracer(net);
   auto corpus = tracer.campaign(vps, seed);
@@ -47,21 +41,26 @@ Scenario finish_scenario(topo::Internet net, std::vector<topo::VantagePoint> vps
 }  // namespace
 
 Scenario make_scenario(const topo::SimParams& params, std::size_t n_vps,
-                       bool exclude_validation, std::uint64_t seed,
-                       RelSource rel_source) {
+                       bool exclude_validation, std::uint64_t seed) {
   topo::Internet net = topo::Internet::generate(params);
   std::vector<int> exclude;
   if (exclude_validation)
     exclude = {net.tier1_gt(), net.large_access_gt(), net.re1_gt(), net.re2_gt()};
   auto vps = topo::Tracer::make_vps(net, n_vps, exclude, seed);
-  return finish_scenario(std::move(net), std::move(vps), seed, rel_source);
+  return finish_scenario(std::move(net), std::move(vps), seed);
 }
 
 Scenario make_single_vp_scenario(const topo::SimParams& params, int as_idx,
-                                 std::uint64_t seed, RelSource rel_source) {
+                                 std::uint64_t seed) {
   topo::Internet net = topo::Internet::generate(params);
   std::vector<topo::VantagePoint> vps{topo::Tracer::vp_in_as(net, as_idx)};
-  return finish_scenario(std::move(net), std::move(vps), seed, rel_source);
+  return finish_scenario(std::move(net), std::move(vps), seed);
+}
+
+asrel::RelStore inferred_relationships(const topo::Internet& net) {
+  asrel::Inferencer inferencer;
+  for (const auto& path : net.rib().paths()) inferencer.add_path(path);
+  return inferencer.infer();
 }
 
 std::vector<std::pair<std::string, netbase::Asn>> validation_networks(

@@ -2,11 +2,10 @@
 //
 // A Scenario bundles everything one evaluation run needs: the synthetic
 // Internet, the exported BGP/RIR/IXP views combined into an Ip2AS map,
-// AS relationships *inferred from the RIB paths* (the algorithm never
-// sees simulator ground truth — exactly as the paper's pipeline uses
-// Luckie et al.'s inferences, not an oracle), the VPs, the traceroute
-// corpus, per-address visibility, and the ground truth used only for
-// scoring.
+// the AS relationships the algorithm consumes (the simulator's own,
+// round-tripped through CAIDA's serial-1 format, as the paper consumes
+// the published dataset), the VPs, the traceroute corpus, per-address
+// visibility, and the ground truth used only for scoring.
 
 #pragma once
 
@@ -26,18 +25,6 @@
 
 namespace eval {
 
-/// Where the AS relationships handed to the algorithm come from.
-enum class RelSource {
-  /// CAIDA-style published file: the simulator's relationships, round-
-  /// tripped through the serial-1 format. This is the paper's setup —
-  /// it consumes the published dataset, which validates at ~98%+.
-  published,
-  /// asrel::Inferencer over the scenario's own RIB paths. Used by the
-  /// relationship-quality ablation; collector-invisible peerings make
-  /// this strictly noisier, as it is for any path-limited inference.
-  inferred,
-};
-
 struct Scenario {
   topo::Internet net;
   bgp::Ip2AS ip2as;
@@ -52,13 +39,17 @@ struct Scenario {
 /// validation networks when `exclude_validation` (the paper removes VPs
 /// inside validating networks).
 Scenario make_scenario(const topo::SimParams& params, std::size_t n_vps,
-                       bool exclude_validation, std::uint64_t seed,
-                       RelSource rel_source = RelSource::published);
+                       bool exclude_validation, std::uint64_t seed);
 
 /// Single-VP scenario (§7.1 style): one VP inside `as_idx`.
 Scenario make_single_vp_scenario(const topo::SimParams& params, int as_idx,
-                                 std::uint64_t seed,
-                                 RelSource rel_source = RelSource::published);
+                                 std::uint64_t seed);
+
+/// asrel::Inferencer over the Internet's own RIB paths: the relationship-
+/// quality ablation's alternative to a scenario's published store.
+/// Collector-invisible peerings make it strictly noisier, as for any
+/// path-limited inference.
+asrel::RelStore inferred_relationships(const topo::Internet& net);
 
 /// The four validation networks with paper-style labels.
 std::vector<std::pair<std::string, netbase::Asn>> validation_networks(

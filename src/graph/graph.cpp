@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "parallel/thread_pool.hpp"
 
@@ -32,24 +33,25 @@ struct ShardIfaces {
 };
 
 /// Pass B partial state for one corpus shard: links keyed by global
-/// (ir, iface) in shard-local first-seen order, plus the per-interface
-/// destination AS insertions, all with serial set_insert semantics.
+/// (ir, iface) in shard-local first-seen order, with the shard's sets
+/// and no id yet, plus the per-interface destination AS sets.
 struct ShardLinks {
-  struct PLink {
-    int ir = -1;
-    int iface = -1;
-    LinkLabel label = LinkLabel::multihop;
-    std::vector<netbase::Asn> origin_set;
-    std::vector<netbase::Asn> dest_asns;
-    std::vector<int> prev_ifaces;  ///< deduped
-  };
   std::unordered_map<std::uint64_t, int> index;  ///< link key -> local id
-  std::vector<PLink> links;                      ///< local first-seen order
+  std::vector<Link> links;                       ///< local first-seen order
   std::unordered_map<int, std::vector<netbase::Asn>> iface_dest;
-  /// Memoized destination-origin lookups (§4.4): one trie walk per
+  /// Memoized destination-origin lookups (§4.4): one Ip2AS lookup per
   /// distinct destination per shard instead of one per traceroute.
   std::unordered_map<netbase::IPAddr, netbase::Asn> dst_cache;
 };
+
+/// `set` becomes `set` ∪ `more`; both are sorted sets.
+template <typename T>
+void set_union_into(std::vector<T>& set, const std::vector<T>& more) {
+  std::vector<T> out;
+  std::set_union(set.begin(), set.end(), more.begin(), more.end(),
+                 std::back_inserter(out));
+  set.swap(out);
+}
 
 inline std::uint64_t link_key(int ir, int iface) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ir)) << 32) |
@@ -135,9 +137,8 @@ Graph Graph::build(const std::vector<tracedata::Traceroute>& corpus,
 
   // ---- Pass B: links, origin AS sets, destination AS sets (sharded) ----
   // Shards read the now-frozen interface table and accumulate partial
-  // link state; the merge walks shards in order with serial set_insert
-  // semantics, so link ids and every AS-set order match the serial
-  // corpus-order build exactly.
+  // link state; the merge walks shards in order, so link ids match the
+  // serial corpus-order build, and unions each shard's sets.
   std::vector<ShardLinks> link_shards(n_shards);
   parallel::parallel_shards(
       corpus.size(), static_cast<int>(n_shards),
@@ -188,65 +189,54 @@ Graph Graph::build(const std::vector<tracedata::Traceroute>& corpus,
             auto [it, inserted] = sh.index.emplace(link_key(fi.ir, fj.id),
                                                    static_cast<int>(sh.links.size()));
             if (inserted) {
-              ShardLinks::PLink pl;
-              pl.ir = fi.ir;
-              pl.iface = fj.id;
-              sh.links.push_back(std::move(pl));
+              Link l;
+              l.ir = fi.ir;
+              l.iface = fj.id;
+              sh.links.push_back(std::move(l));
             }
-            ShardLinks::PLink& l = sh.links[static_cast<std::size_t>(it->second)];
+            Link& l = sh.links[static_cast<std::size_t>(it->second)];
             const int dist = hj.probe_ttl - t.hops[idx[n]].probe_ttl;
             const LinkLabel label = classify(fi, fj, dist, hj.reply);
             if (static_cast<std::uint8_t>(label) < static_cast<std::uint8_t>(l.label))
               l.label = label;
             if (fi.origin.announced()) set_insert(l.origin_set, fi.origin.asn);
             if (dest_asn != netbase::kNoAs) set_insert(l.dest_asns, dest_asn);
-            if (std::find(l.prev_ifaces.begin(), l.prev_ifaces.end(), fi.id) ==
-                l.prev_ifaces.end())
-              l.prev_ifaces.push_back(fi.id);
+            set_insert(l.prev_ifaces, fi.id);
           }
         }
       });
 
   std::unordered_map<std::uint64_t, int> link_index;  // (ir, iface) -> link id
-  for (const ShardLinks& sh : link_shards) {
-    for (const ShardLinks::PLink& pl : sh.links) {
+  for (ShardLinks& sh : link_shards) {
+    for (Link& pl : sh.links) {
       auto [it, inserted] = link_index.emplace(link_key(pl.ir, pl.iface),
                                                static_cast<int>(g.links_.size()));
       if (inserted) {
-        Link l;
-        l.id = it->second;
-        l.ir = pl.ir;
-        l.iface = pl.iface;
-        g.links_.push_back(std::move(l));
-        g.irs_[static_cast<std::size_t>(pl.ir)].out_links.push_back(it->second);
-        g.ifaces_[static_cast<std::size_t>(pl.iface)].in_links.push_back(it->second);
+        pl.id = it->second;
+        g.irs_[static_cast<std::size_t>(pl.ir)].out_links.push_back(pl.id);
+        g.ifaces_[static_cast<std::size_t>(pl.iface)].in_links.push_back(pl.id);
+        g.links_.push_back(std::move(pl));
+        continue;
       }
       Link& l = g.links_[static_cast<std::size_t>(it->second)];
       if (static_cast<std::uint8_t>(pl.label) < static_cast<std::uint8_t>(l.label))
         l.label = pl.label;
-      for (netbase::Asn o : pl.origin_set) set_insert(l.origin_set, o);
-      for (netbase::Asn d : pl.dest_asns) set_insert(l.dest_asns, d);
-      l.prev_ifaces.insert(pl.prev_ifaces.begin(), pl.prev_ifaces.end());
+      set_union_into(l.origin_set, pl.origin_set);
+      set_union_into(l.dest_asns, pl.dest_asns);
+      set_union_into(l.prev_ifaces, pl.prev_ifaces);
     }
-    for (const auto& [fid, dests] : sh.iface_dest) {
-      Interface& f = g.ifaces_[static_cast<std::size_t>(fid)];
-      for (netbase::Asn d : dests) set_insert(f.dest_asns, d);
-    }
+    for (const auto& [fid, dests] : sh.iface_dest)
+      set_union_into(g.ifaces_[static_cast<std::size_t>(fid)].dest_asns, dests);
   }
 
   // ---- §4.4: reallocated-prefix correction on interface dest sets ------
   for (auto& f : g.ifaces_) {
-    if (f.dest_asns.size() != 2 || !f.origin.announced()) continue;
-    netbase::Asn matching = netbase::kNoAs, other = netbase::kNoAs;
-    if (f.dest_asns[0] == f.origin.asn) {
-      matching = f.dest_asns[0];
-      other = f.dest_asns[1];
-    } else if (f.dest_asns[1] == f.origin.asn) {
-      matching = f.dest_asns[1];
-      other = f.dest_asns[0];
-    } else {
+    if (f.dest_asns.size() != 2 || !f.origin.announced() ||
+        !set_contains(f.dest_asns, f.origin.asn))
       continue;
-    }
+    const netbase::Asn matching = f.origin.asn;
+    const netbase::Asn other =
+        f.dest_asns[0] == matching ? f.dest_asns[1] : f.dest_asns[0];
     if (rels.cone_size(other) > 5) continue;
     if (rels.has_relationship(matching, other)) continue;
     // Aggregation hid the relationship: drop the reallocating provider
@@ -257,15 +247,18 @@ Graph Graph::build(const std::vector<tracedata::Traceroute>& corpus,
   }
 
   // ---- IR aggregates ----------------------------------------------------
+  std::vector<netbase::Asn> origins;
   for (auto& ir : g.irs_) {
+    origins.clear();
     for (int fid : ir.ifaces) {
       const Interface& f = g.ifaces_[static_cast<std::size_t>(fid)];
-      if (f.origin.announced()) {
-        set_insert(ir.origin_set, f.origin.asn);
-        ++ir.origin_votes[f.origin.asn];
-      }
-      for (netbase::Asn d : f.dest_asns) set_insert(ir.dest_asns, d);
+      if (f.origin.announced()) origins.push_back(f.origin.asn);
+      ir.dest_asns.insert(ir.dest_asns.end(), f.dest_asns.begin(), f.dest_asns.end());
     }
+    std::sort(origins.begin(), origins.end());
+    ir.origin_votes = tally(origins);
+    for (const auto& [asn, votes] : ir.origin_votes) ir.origin_set.push_back(asn);
+    make_set(ir.dest_asns);
     ir.last_hop = ir.out_links.empty();
   }
   return g;

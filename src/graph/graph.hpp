@@ -14,15 +14,23 @@
 //   * interface and IR destination AS sets with the reallocated-prefix
 //     correction (§4.4).
 //
+// Every AS set, and every set of interface ids, is a sorted,
+// duplicate-free std::vector (graph::is_set): the paper's rules read
+// membership, never order, so the graph is a function of the corpus
+// *set* up to interface, IR and link numbering.
+//
 // Private hops are treated as gaps: a link across them is Multihop
 // unless the flanking origin ASes agree. Hop distance comes from probe
 // TTL differences, so unresponsive hops widen distance the same way.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "asrel/relstore.hpp"
@@ -37,6 +45,9 @@ namespace graph {
 /// Link confidence labels, Table 3. Lower value = higher confidence.
 enum class LinkLabel : std::uint8_t { nexthop = 1, echo = 2, multihop = 3 };
 
+/// Vote counts, ascending by ASN.
+using Votes = std::vector<std::pair<netbase::Asn, int>>;
+
 struct Interface {
   int id = -1;
   netbase::IPAddr addr;
@@ -47,7 +58,7 @@ struct Interface {
   netbase::Asn annotation = netbase::kNoAs;
   bool seen_non_echo = false;  ///< ever replied Time Exceeded / Unreachable
   bool seen_mid_path = false;  ///< ever observed before the final hop
-  std::vector<netbase::Asn> dest_asns;  ///< §4.4, deduped, order of first sight
+  std::vector<netbase::Asn> dest_asns;  ///< §4.4, sorted set
   std::vector<int> in_links;   ///< link ids with this interface subsequent
 };
 
@@ -56,20 +67,20 @@ struct Link {
   int ir = -1;     ///< source IR
   int iface = -1;  ///< subsequent interface
   LinkLabel label = LinkLabel::multihop;
-  std::vector<netbase::Asn> origin_set;  ///< L(IRi, j), §4.3
-  std::vector<netbase::Asn> dest_asns;   ///< destinations crossing this link
+  std::vector<netbase::Asn> origin_set;  ///< L(IRi, j), §4.3, sorted set
+  std::vector<netbase::Asn> dest_asns;   ///< destinations crossing this link, sorted set
   /// §6.2 votes: the source IR's interfaces seen immediately prior to
-  /// `iface` on this link.
-  std::unordered_set<int> prev_ifaces;
+  /// `iface` on this link, a sorted set of interface ids.
+  std::vector<int> prev_ifaces;
 };
 
 struct IR {
   int id = -1;
   std::vector<int> ifaces;
   std::vector<int> out_links;
-  std::vector<netbase::Asn> origin_set;  ///< distinct announced iface origins
-  std::unordered_map<netbase::Asn, int> origin_votes;  ///< iface count per origin
-  std::vector<netbase::Asn> dest_asns;   ///< §4.4 (post reallocation fix)
+  std::vector<netbase::Asn> origin_set;  ///< announced iface origins, sorted set
+  Votes origin_votes;  ///< iface count per origin; its ASNs are `origin_set`
+  std::vector<netbase::Asn> dest_asns;   ///< §4.4 (post reallocation fix), sorted set
   netbase::Asn annotation = netbase::kNoAs;  ///< inferred operator
   bool last_hop = false;  ///< no outgoing links → phase-2 annotated, frozen
 };
@@ -96,8 +107,8 @@ class Graph {
   /// `threads` bounds the executors used for the two corpus passes
   /// (<= 0 means hardware concurrency). The corpus is sharded and the
   /// per-shard partial graphs merged in shard order, which reproduces
-  /// the serial first-seen interning order exactly: the result is
-  /// identical — same ids, same set orders — for every thread count.
+  /// the serial first-seen numbering of interfaces, IRs and links; the
+  /// sets are sorted. The result is identical for every thread count.
   static Graph build(const std::vector<tracedata::Traceroute>& corpus,
                      const tracedata::AliasSets& aliases, const bgp::Ip2AS& ip2as,
                      const asrel::RelStore& rels, int threads = 1);
@@ -123,17 +134,61 @@ class Graph {
   std::unordered_map<netbase::IPAddr, int> addr_index_;
 };
 
-/// Inserts `v` if absent (small ordered-by-first-sight set semantics).
-inline void set_insert(std::vector<netbase::Asn>& set, netbase::Asn v) {
-  for (netbase::Asn x : set)
-    if (x == v) return;
-  set.push_back(v);
+/// True iff `v` is strictly ascending: the sorted, duplicate-free form
+/// of every set in the graph.
+template <typename T>
+bool is_set(const std::vector<T>& v) noexcept {
+  return std::adjacent_find(v.begin(), v.end(), std::greater_equal<>()) == v.end();
 }
 
-inline bool set_contains(const std::vector<netbase::Asn>& set, netbase::Asn v) noexcept {
-  for (netbase::Asn x : set)
-    if (x == v) return true;
-  return false;
+/// Sorts `v` and drops duplicates, making it a set.
+template <typename T>
+void make_set(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+/// Inserts `v` into the sorted set if absent.
+template <typename T>
+void set_insert(std::vector<T>& set, std::type_identity_t<T> v) {
+  const auto it = std::lower_bound(set.begin(), set.end(), v);
+  if (it == set.end() || *it != v) set.insert(it, v);
+}
+
+template <typename T>
+bool set_contains(const std::vector<T>& set, std::type_identity_t<T> v) noexcept {
+  return std::binary_search(set.begin(), set.end(), v);
+}
+
+/// Counts each distinct ASN of a sorted vector: ascending (asn, count).
+inline Votes tally(const std::vector<netbase::Asn>& sorted) {
+  Votes out;
+  for (netbase::Asn a : sorted) {
+    if (out.empty() || out.back().first != a) out.emplace_back(a, 0);
+    ++out.back().second;
+  }
+  return out;
+}
+
+/// §6.2 votes for the AS connected through `b`: each distinct (source
+/// IR, previous interface) pair over the in-links `use` accepts votes
+/// for the source IR's annotation; unannotated IRs do not vote.
+template <typename Use>
+Votes prev_iface_votes(const Graph& g, const Interface& b, Use use) {
+  std::vector<std::pair<int, int>> voters;
+  for (int lid : b.in_links) {
+    const Link& l = g.links()[static_cast<std::size_t>(lid)];
+    if (use(l))
+      for (int pf : l.prev_ifaces) voters.emplace_back(l.ir, pf);
+  }
+  make_set(voters);
+  std::vector<netbase::Asn> owners;
+  for (const auto& [ir, pf] : voters) {
+    const netbase::Asn a = g.irs()[static_cast<std::size_t>(ir)].annotation;
+    if (a != netbase::kNoAs) owners.push_back(a);
+  }
+  std::sort(owners.begin(), owners.end());
+  return tally(owners);
 }
 
 }  // namespace graph

@@ -117,6 +117,15 @@ inline std::vector<Corruption> corruption_matrix() {
              return;
            }
        }},
+      {"set-unsorted", "iface.dest-set-dedup",
+       [](core::Result& r) {
+         // Still duplicate-free, but out of order.
+         for (auto& f : r.graph.interfaces())
+           if (f.dest_asns.size() >= 2) {
+             std::swap(f.dest_asns[0], f.dest_asns[1]);
+             return;
+           }
+       }},
       {"broken-out-backref", "ir.out-links-backref",
        [](core::Result& r) {
          for (auto& ir : r.graph.irs())

@@ -59,6 +59,8 @@ TEST(AuditParallel, EveryCorruptionReportIdenticalAcrossThreadCounts) {
   for (const auto& c : audit_fixtures::corruption_matrix()) {
     core::Result r = p.run();
     c.apply(r);
+    EXPECT_FALSE(audit::audit_all(r, p.ip2as, p.rels, p.opt).empty())
+        << c.name << " was not detected at all";
     expect_identical_reports(r, p, c.name);
   }
 }

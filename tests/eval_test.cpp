@@ -221,17 +221,15 @@ TEST(ScenarioTest, PublishedRelsMatchTruth) {
 }
 
 TEST(ScenarioTest, InferredRelsAreNoisier) {
-  eval::Scenario pub = eval::make_scenario(topo::small_params(), 6, true, 77,
-                                           eval::RelSource::published);
-  eval::Scenario inf = eval::make_scenario(topo::small_params(), 6, true, 77,
-                                           eval::RelSource::inferred);
+  eval::Scenario pub = eval::make_scenario(topo::small_params(), 6, true, 77);
+  const asrel::RelStore inferred = eval::inferred_relationships(pub.net);
   const auto& truth = pub.net.relationships();
   std::size_t pub_ok = 0, inf_ok = 0, total = 0;
   for (netbase::Asn a : truth.ases())
     for (netbase::Asn c : truth.customers(a)) {
       ++total;
       if (pub.rels.rel(a, c) == asrel::Rel::p2c) ++pub_ok;
-      if (inf.rels.rel(a, c) == asrel::Rel::p2c) ++inf_ok;
+      if (inferred.rel(a, c) == asrel::Rel::p2c) ++inf_ok;
     }
   EXPECT_EQ(pub_ok, total);
   EXPECT_LT(inf_ok, total);

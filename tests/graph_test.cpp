@@ -295,8 +295,8 @@ TEST(GraphIr, OriginVotesCountInterfaces) {
   EXPECT_EQ(g.irs().size(), 3u);
   auto g2 = Graph::build(corpus, aliases, plan_ip2as(), testutil::make_rels({}));
   ASSERT_EQ(g2.irs().size(), 1u);
-  EXPECT_EQ(g2.irs()[0].origin_votes.at(1), 2);
-  EXPECT_EQ(g2.irs()[0].origin_votes.at(2), 1);
+  // Ascending by ASN: two interfaces from AS 1, one from AS 2.
+  EXPECT_EQ(g2.irs()[0].origin_votes, (graph::Votes{{1, 2}, {2, 1}}));
 }
 
 TEST(GraphStats, CountsLabelsAndCoverage) {

@@ -1,15 +1,19 @@
 // Determinism of the parallel pipeline: every stage — ingest, graph
 // construction, refinement — must produce results identical to the
 // serial path for any thread count, and the final artifacts (the
-// --output TSV and the binary snapshot) must be byte-identical.
+// --output TSV and the binary snapshot) must be byte-identical. The
+// graph must also be a function of the corpus *set*: reordering or
+// duplicating traceroutes may renumber it but not change it.
 // Also unit-tests the parallel substrate itself.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "eval/experiment.hpp"
@@ -115,7 +119,7 @@ void expect_graphs_identical(const graph::Graph& a, const graph::Graph& b) {
     EXPECT_EQ(fa.ir, fb.ir);
     EXPECT_EQ(fa.seen_non_echo, fb.seen_non_echo);
     EXPECT_EQ(fa.seen_mid_path, fb.seen_mid_path);
-    EXPECT_EQ(fa.dest_asns, fb.dest_asns) << "dest set order at iface " << i;
+    EXPECT_EQ(fa.dest_asns, fb.dest_asns) << "dest set at iface " << i;
     EXPECT_EQ(fa.in_links, fb.in_links);
   }
   ASSERT_EQ(a.links().size(), b.links().size());
@@ -125,7 +129,7 @@ void expect_graphs_identical(const graph::Graph& a, const graph::Graph& b) {
     EXPECT_EQ(la.ir, lb.ir) << "link id order diverged at " << i;
     EXPECT_EQ(la.iface, lb.iface);
     EXPECT_EQ(la.label, lb.label);
-    EXPECT_EQ(la.origin_set, lb.origin_set) << "origin set order at link " << i;
+    EXPECT_EQ(la.origin_set, lb.origin_set) << "origin set at link " << i;
     EXPECT_EQ(la.dest_asns, lb.dest_asns);
     EXPECT_EQ(la.prev_ifaces, lb.prev_ifaces);
   }
@@ -151,6 +155,83 @@ TEST(ParallelDeterminism, GraphBuildIdenticalAcrossThreadCounts) {
         graph::Graph::build(s.corpus, aliases, s.ip2as, s.rels, threads);
     expect_graphs_identical(serial, parallel_g);
   }
+}
+
+// An id-free rendering of a graph, one sorted line per interface, IR
+// and link. Interfaces are keyed by address, IRs by their sorted member
+// addresses, links by source IR and subsequent interface address.
+std::vector<std::string> canonical_lines(const graph::Graph& g) {
+  const auto& ifaces = g.interfaces();
+  auto join = [](const auto& values) {
+    std::string out;
+    for (const auto& v : values) {
+      if (!out.empty()) out += ',';
+      out += std::to_string(v);
+    }
+    return out;
+  };
+  auto addrs = [&](const std::vector<int>& ids) {
+    std::vector<netbase::IPAddr> as;
+    for (int id : ids) as.push_back(ifaces[static_cast<std::size_t>(id)].addr);
+    std::sort(as.begin(), as.end());
+    std::string out;
+    for (const auto& a : as) out += a.to_string() + ' ';
+    return out;
+  };
+  std::vector<std::string> lines;
+  for (const auto& f : ifaces)
+    lines.push_back("iface " + f.addr.to_string() + " origin=" +
+                    std::to_string(f.origin.asn) + '/' +
+                    std::to_string(static_cast<int>(f.origin.kind)) +
+                    " non_echo=" + std::to_string(f.seen_non_echo) +
+                    " mid_path=" + std::to_string(f.seen_mid_path) +
+                    " dest=" + join(f.dest_asns));
+  for (const auto& ir : g.irs()) {
+    std::string votes;
+    for (const auto& [asn, count] : ir.origin_votes)
+      votes += std::to_string(asn) + ':' + std::to_string(count) + ' ';
+    lines.push_back("ir " + addrs(ir.ifaces) + "origins=" + join(ir.origin_set) +
+                    " votes=" + votes + "dest=" + join(ir.dest_asns) +
+                    " last_hop=" + std::to_string(ir.last_hop));
+  }
+  for (const auto& l : g.links())
+    lines.push_back("link " + addrs(g.irs()[static_cast<std::size_t>(l.ir)].ifaces) +
+                    "-> " + ifaces[static_cast<std::size_t>(l.iface)].addr.to_string() +
+                    " label=" + std::to_string(static_cast<int>(l.label)) +
+                    " origins=" + join(l.origin_set) + " dest=" + join(l.dest_asns) +
+                    " prev=" + addrs(l.prev_ifaces));
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(GraphMetamorphic, BuildIsAFunctionOfTheCorpusSet) {
+  const auto& s = scenario();
+  const auto aliases = eval::midar_aliases(s);
+  const std::vector<std::string> want =
+      canonical_lines(graph::Graph::build(s.corpus, aliases, s.ip2as, s.rels, 1));
+  ASSERT_FALSE(want.empty());
+
+  const std::vector<tracedata::Traceroute> reversed(s.corpus.rbegin(),
+                                                    s.corpus.rend());
+  std::vector<tracedata::Traceroute> doubled = s.corpus;
+  std::shuffle(doubled.begin(), doubled.end(), std::mt19937(1234));
+  doubled.insert(doubled.begin(), s.corpus.begin(), s.corpus.end());
+
+  struct Variant {
+    const char* name;
+    const std::vector<tracedata::Traceroute>* corpus;
+  };
+  for (const Variant v : {Variant{"original", &s.corpus}, Variant{"reversed", &reversed},
+                          Variant{"with shuffled duplicate", &doubled}})
+    for (int threads : {1, 4}) {
+      const std::vector<std::string> got = canonical_lines(
+          graph::Graph::build(*v.corpus, aliases, s.ip2as, s.rels, threads));
+      ASSERT_EQ(got.size(), want.size()) << v.name << " at threads=" << threads;
+      const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+      EXPECT_TRUE(diff.first == got.end())
+          << v.name << " at threads=" << threads << ": got\n  " << *diff.first
+          << "\nwant\n  " << *diff.second;
+    }
 }
 
 // The final artifacts a downstream consumer sees: the TSV rows (what
