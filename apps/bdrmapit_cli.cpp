@@ -16,7 +16,8 @@
 // concurrency). Output is byte-identical for every thread count.
 //
 // Inputs:
-//   --traces       traceroute corpus (T|vp|dst|ttl:addr:type;... lines)
+//   --traces       traceroute corpus: native T|vp|dst|ttl:addr:type;... lines
+//                  or scamper JSON, told apart by tracedata::is_json_corpus
 //   --rib          BGP table ("prefix as-path" or prefix2as lines)
 //   --rels         CAIDA serial-1 AS relationships
 //   --delegations  RIR extended delegation file (optional)
@@ -153,19 +154,8 @@ int main(int argc, char** argv) {
   std::vector<tracedata::Traceroute> corpus;
   {
     auto in = apps::open_or_die(args["traces"]);
-    // Auto-detect the corpus format: scamper-style jsonl starts with
-    // '{'; the native format with 'T|'.
-    std::string first;
-    while (std::getline(in, first)) {
-      std::string_view t = first;
-      while (!t.empty() && t.front() == ' ') t.remove_prefix(1);
-      if (!t.empty() && t.front() != '#') break;
-    }
-    in.clear();
-    in.seekg(0);
     std::size_t bad = 0;
-    if (!first.empty() && first.find_first_not_of(" \t") != std::string::npos &&
-        first[first.find_first_not_of(" \t")] == '{')
+    if (tracedata::is_json_corpus(in))
       corpus = tracedata::read_json_traceroutes(in, &bad, opt.threads);
     else
       corpus = tracedata::read_traceroutes(in, &bad, opt.threads);

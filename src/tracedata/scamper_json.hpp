@@ -15,8 +15,14 @@
 // are ignored. Hops are sorted by probe_ttl; duplicate TTLs keep the
 // first reply (scamper reports one reply per probe in this schema).
 //
-// The parser is a deliberately small recursive-descent JSON reader —
-// full JSON syntax (nesting, escapes, numbers), no external deps.
+// The parser makes one forward pass over each line and builds no
+// document tree. It validates the whole line as JSON (nesting up to 64
+// levels, escapes, numbers), so a syntax error anywhere makes the line
+// malformed, even in a record that would be skipped. It keeps only the
+// first "type", "dst", "src", "monitor" and "hops" of the root object
+// and the first "addr", "probe_ttl" and "icmp_type" of each hop: when
+// a key repeats, the first one wins, compared after escape decoding.
+// Every other value is checked and skipped.
 
 #pragma once
 
@@ -55,5 +61,11 @@ std::vector<Traceroute> read_json_traceroutes(std::istream& in,
 
 /// Writes a corpus in the same JSON schema (one object per line).
 void write_json_traceroutes(std::ostream& out, const std::vector<Traceroute>& traces);
+
+/// True when a corpus is scamper JSON rather than the native format:
+/// its first line that is neither blank nor a comment, after trimming
+/// space, tab and CR, starts with '{'. Reads from the seekable `in`,
+/// then clears its state and seeks it back to where it started.
+bool is_json_corpus(std::istream& in);
 
 }  // namespace tracedata

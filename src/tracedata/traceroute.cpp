@@ -114,6 +114,7 @@ std::vector<Traceroute> read_traceroutes(std::istream& in, std::size_t* malforme
       [](const std::string& line, std::vector<Traceroute>& traces,
          std::size_t& bad) {
         std::string_view s = line;
+        if (!s.empty() && s.back() == '\r') s.remove_suffix(1);  // CRLF
         if (s.empty() || s.front() == '#') return;
         if (auto t = from_line(s))
           traces.push_back(std::move(*t));

@@ -6,6 +6,7 @@
 
 #include "test_util.hpp"
 #include "tracedata/alias.hpp"
+#include "tracedata/scamper_json.hpp"
 #include "tracedata/traceroute.hpp"
 
 using netbase::IPAddr;
@@ -95,6 +96,52 @@ TEST(TracerouteFormat, ReadSkipsAndCountsBadLines) {
   const auto back = tracedata::read_traceroutes(in, &malformed);
   EXPECT_EQ(back.size(), 1u);
   EXPECT_EQ(malformed, 1u);
+}
+
+TEST(TracerouteFormat, ReadSkipsCrlfBlankLines) {
+  std::istringstream in(
+      "# header\r\n\r\nT|a|1.1.1.1|1:2.2.2.2:T\r\n\r\nT|b|3.3.3.3|\r\n");
+  std::size_t malformed = 99;
+  const auto back = tracedata::read_traceroutes(in, &malformed);
+  EXPECT_EQ(back.size(), 2u);
+  EXPECT_EQ(malformed, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Corpus format detection
+// ---------------------------------------------------------------------
+
+TEST(CorpusFormat, FirstContentLineDecides) {
+  const std::string json = R"({"type":"trace","src":"a","dst":"1.1.1.1","hops":[]})";
+  for (const std::string& text : {
+           json + "\n",
+           "\r\n" + json + "\r\n",
+           "\t\n" + json + "\n",
+           " \t\r\n\n# comment\n  \t# indented comment\r\n\t " + json + "\n",
+       }) {
+    std::istringstream in(text);
+    EXPECT_TRUE(tracedata::is_json_corpus(in)) << text;
+    // The stream is rewound: the whole corpus is still there to read.
+    std::size_t malformed = 0;
+    EXPECT_EQ(tracedata::read_json_traceroutes(in, &malformed).size(), 1u) << text;
+  }
+  for (const std::string text : {
+           "", "\n\r\n", "# {\n", "\r\nT|a|1.1.1.1|\n", "# header\nT|a|1.1.1.1|\n",
+           "\t[1]\n{}\n",
+       }) {
+    std::istringstream in(text);
+    EXPECT_FALSE(tracedata::is_json_corpus(in)) << text;
+  }
+}
+
+TEST(CorpusFormat, RewindsToWhereTheStreamWas) {
+  std::istringstream in("T|a|1.1.1.1|\n{}\n");
+  std::string first;
+  std::getline(in, first);
+  EXPECT_TRUE(tracedata::is_json_corpus(in));
+  std::string next;
+  std::getline(in, next);
+  EXPECT_EQ(next, "{}");
 }
 
 // ---------------------------------------------------------------------
